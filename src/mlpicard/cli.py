@@ -70,6 +70,10 @@ class ExperimentConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        try:
+            state_for_key(self.seed, ())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.levels:
             raise ConfigError("no levels requested; pass --diagonal N or --level n,M,Q")
         for n, M, Q in self.levels:

@@ -56,7 +56,7 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 def _root_state(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """128-bit state for the empty key; shape-(1,) uint64 words."""
-    s = np.full(1, int(seed) & _MASK64, dtype=np.uint64)
+    s = np.full(1, int(seed), dtype=np.uint64)
     return _mix64(s + _GAMMA), _mix64(s + _GAMMA2)
 
 
@@ -74,7 +74,9 @@ def _extend_state(h0: np.ndarray, h1: np.ndarray, label) -> tuple[np.ndarray, np
 
 
 def state_for_key(seed: int, key: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Fold (seed, key) into the shape-(1,) lane state words."""
+    """Fold (seed, key) into the shape-(1,) lane state words; seed in [0, 2**64)."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     h0, h1 = _root_state(seed)
     for label in key:
         h0, h1 = _extend_state(h0, h1, int(label))
@@ -87,6 +89,8 @@ def derive_key(parent: Sequence[int], extension: Sequence[int]) -> MultiIndex:
     for label in out:
         if not isinstance(label, (int, np.integer)) or isinstance(label, bool):
             raise ValueError(f"multi-index labels must be integers, got {label!r}")
+        if not -(2**63) <= label < 2**63:
+            raise ValueError(f"multi-index labels must lie in [-2**63, 2**63), got {label}")
     return tuple(int(label) for label in out)
 
 

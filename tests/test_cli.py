@@ -156,6 +156,7 @@ def test_config_errors_exit_2(tmp_path):
     assert main(converge_args(out, "--reps", "1")) == 2
     assert main(converge_args(out, "--t0", "2.0")) == 2
     assert main(converge_args(out, "--level", "1,2,2", "--diagonal", "2")) == 2
+    assert main(converge_args(out, "--seed", "-1")) == 2
 
 
 def test_budget_exceeded_exits_4(tmp_path):

@@ -1,8 +1,11 @@
+import shutil
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from mlpicard._bits import HAVE_NUMBA, uniforms_from_states
+from mlpicard import _bits
+from mlpicard._bits import uniforms_from_states
 from mlpicard.randomness import (
     _extend_state,
     _standard_normals,
@@ -23,6 +26,22 @@ def test_derive_key_rejects_non_integers():
         derive_key((), (1.5,))
     with pytest.raises(ValueError):
         derive_key((True,), (1,))
+
+
+def test_derive_key_rejects_labels_outside_int64():
+    for label in (2**63, -(2**63) - 1):
+        with pytest.raises(ValueError, match=str(label)):
+            derive_key((), (label,))
+    assert derive_key((2**63 - 1,), (-(2**63),)) == (2**63 - 1, -(2**63))
+    state_for_key(0, (2**63 - 1, -(2**63)))
+
+
+def test_state_for_key_rejects_seeds_outside_uint64():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            state_for_key(seed, ())
+    low, high = state_for_key(0, ()), state_for_key(2**64 - 1, ())
+    assert (low[0][0], low[1][0]) != (high[0][0], high[1][0])
 
 
 def _scheme_extensions(rng):
@@ -136,16 +155,43 @@ def test_cross_key_independence():
     assert abs(corr) <= 4.0 / np.sqrt(R)
 
 
-def test_numba_and_numpy_pipelines_agree():
-    if not HAVE_NUMBA:
-        pytest.skip("numba unavailable; only one pipeline exists")
+def test_compiled_and_numpy_pipelines_agree():
+    if shutil.which("cc") is not None:
+        assert _bits._KERNEL is not None, "a C compiler is present but the Philox kernel did not load"
+    if _bits._KERNEL is None:
+        pytest.skip("no C compiler; only the numpy pipeline exists")
+    # full 64-bit range, so the top bit of every state word is exercised
     rng = np.random.default_rng(17)
-    h0 = rng.integers(0, 2**63, size=257).astype(np.uint64)
-    h1 = rng.integers(0, 2**63, size=257).astype(np.uint64)
-    for n_vals in (1, 2, 3, 8):
-        fast = uniforms_from_states(h0, h1, n_vals)
-        slow = uniforms_from_states(h0, h1, n_vals, force_numpy=True)
-        assert np.array_equal(fast, slow)
+    for shape in ((257,), (0,), (3, 5)):
+        h0 = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+        h1 = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+        for n_vals in (1, 2, 3, 7, 8):
+            fast = uniforms_from_states(h0, h1, n_vals)
+            slow = uniforms_from_states(h0, h1, n_vals, force_numpy=True)
+            assert fast.shape == shape + (n_vals,)
+            assert np.array_equal(fast, slow)
+
+
+def test_kernel_build_failure_falls_back_to_numpy(tmp_path, monkeypatch):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text("#!/bin/sh\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    assert _bits._load_kernel(str(tmp_path / "cache")) is None
+    assert list((tmp_path / "cache").iterdir()) == []  # no partial library left behind
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    assert _bits._load_kernel(str(tmp_path / "cache")) is None
+    (tmp_path / "file").write_text("")
+    assert _bits._load_kernel(str(tmp_path / "file" / "cache")) is None
+
+    rng = np.random.default_rng(5)
+    h0 = rng.integers(0, 2**64, size=(4, 3), dtype=np.uint64)
+    h1 = rng.integers(0, 2**64, size=(4, 3), dtype=np.uint64)
+    expected = uniforms_from_states(h0, h1, 5, force_numpy=True)
+    monkeypatch.setattr(_bits, "_KERNEL", None)
+    assert np.array_equal(uniforms_from_states(h0, h1, 5), expected)
 
 
 def _philox_reference(h0: int, h1: int, block: int) -> tuple[int, int]:
