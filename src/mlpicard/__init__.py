@@ -26,6 +26,7 @@ from .mlp_core import (
     ErrorReport,
     FkResidual,
     Problem,
+    check_request,
     discrete_fk_residual,
     mc_l2_error,
     mlp_estimate,
@@ -67,6 +68,7 @@ __all__ = [
     "bound_nnn",
     "build_problem",
     "build_rule",
+    "check_request",
     "constant_C",
     "cost_fe_exact",
     "cost_rn_exact",

@@ -20,8 +20,8 @@ import numpy as np
 from ._bits import uniforms_from_states
 from .analysis import BoundInputs, bound_nmq, cost_fe_exact, cost_rn_exact
 from .errors import BudgetError, ConfigError
-from .mlp_core import DEFAULT_MAX_GAUSSIANS, DEFAULT_MAX_LEVEL, CostCounters, Problem, mc_l2_error
-from .problems import PROBLEMS, build_problem
+from .mlp_core import CostCounters, Problem, check_request, mc_l2_error
+from .problems import build_problem
 from .randomness import state_for_key
 from .selfcheck import available_checks, run_selfcheck
 
@@ -60,40 +60,21 @@ class ExperimentConfig:
     reproducible: bool = False
 
     def validate(self) -> None:
-        if self.problem not in PROBLEMS:
-            raise ConfigError(f"unknown problem {self.problem!r}; available: {sorted(PROBLEMS)}")
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.replications < 2:
-            raise ConfigError(f"reps must be >= 2, got {self.replications}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        """Fields the library never sees; the rest go through ``check_request``."""
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        try:
-            state_for_key(self.seed, ())
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if not self.levels:
             raise ConfigError("no levels requested; pass --diagonal N or --level n,M,Q")
-        for n, M, Q in self.levels:
-            if n < 0 or M < 1 or Q < 1:
-                raise ConfigError(f"invalid level (n={n}, M={M}, Q={Q})")
 
 
 def _resolve_x(config: ExperimentConfig, problem: Problem) -> np.ndarray:
     if config.x is None:
         return np.zeros(problem.dim)
-    if isinstance(config.x, str):
-        if config.x != "random-in-box":
-            raise ConfigError(f"--x must be a comma-separated vector or 'random-in-box', got {config.x!r}")
+    if isinstance(config.x, str) and config.x == "random-in-box":
         h0, h1 = state_for_key(config.seed, (-1,))
         u = uniforms_from_states(h0, h1, problem.dim)[0]
         return (2.0 * u - 1.0) * problem.box_radius
-    x = np.asarray(config.x, dtype=float)
-    if x.shape != (problem.dim,):
-        raise ConfigError(f"--x must have {problem.dim} coordinates, got {x.size}")
-    return x
+    return np.asarray(config.x, dtype=float)
 
 
 def _bound_for(problem: Problem, n: int, M: int, Q: int, t0: float):
@@ -124,16 +105,13 @@ def run_convergence(config: ExperimentConfig) -> list[dict]:
     reproducible mode so output files can be compared byte for byte.
     """
     config.validate()
-    problem = build_problem(config.problem, dim=config.dim, **config.params)
-    if not 0.0 <= config.t0 < problem.horizon:
-        raise ConfigError(f"t0 must lie in [0, horizon), got t0={config.t0}, horizon={problem.horizon}")
-    x = _resolve_x(config, problem)
-
-    for n, M, Q in config.levels:  # fail fast before any sampling
-        if n > DEFAULT_MAX_LEVEL:
-            raise BudgetError(f"level n={n} exceeds the configured maximum {DEFAULT_MAX_LEVEL}")
-        if cost_rn_exact(n, M, Q, problem.dim) > DEFAULT_MAX_GAUSSIANS:
-            raise BudgetError(f"level (n={n}, M={M}, Q={Q}) exceeds the Gaussian budget")
+    try:  # fail fast: every level passes the library guard before any sampling
+        problem = build_problem(config.problem, dim=config.dim, **config.params)
+        x = _resolve_x(config, problem)
+        for n, M, Q in config.levels:
+            check_request(problem, n, M, Q, config.t0, x, config.seed, (), config.replications, config.threads)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     rows = []
     for n, M, Q in config.levels:

@@ -39,7 +39,7 @@ import numpy as np
 from .analysis import cost_rn_exact
 from .errors import BudgetError, EvaluationError
 from .quadrature import GaussLegendreRule, build_rule
-from .randomness import _extend_state, _standard_normals, derive_key, state_for_key
+from .randomness import _extend_state, _standard_normals, state_for_key
 
 __all__ = [
     "CostCounters",
@@ -47,6 +47,7 @@ __all__ = [
     "ErrorReport",
     "FkResidual",
     "Problem",
+    "check_request",
     "discrete_fk_residual",
     "mc_l2_error",
     "mlp_estimate",
@@ -163,23 +164,28 @@ class FkResidual:
         return bool(np.all(np.abs(self.residual) <= self.radius))
 
 
-def _check_budget(dim: int, n: int, M: int, Q: int, max_level: int, max_gaussians: int) -> None:
-    if n < 0:
-        raise ValueError(f"need level n >= 0, got {n}")
-    if M < 1 or Q < 1:
-        raise ValueError(f"need M >= 1 and Q >= 1, got M={M}, Q={Q}")
-    if n > max_level:
-        raise BudgetError(f"level n={n} exceeds the configured maximum {max_level}")
-    if M**n > DEFAULT_MAX_SAMPLES:
-        raise BudgetError(f"M^n = {M**n} exceeds the sample budget {DEFAULT_MAX_SAMPLES}")
-    predicted = cost_rn_exact(n, M, Q, dim)
-    if predicted > max_gaussians:
-        raise BudgetError(
-            f"predicted {predicted} scalar normal draws per estimate exceed the budget {max_gaussians}"
-        )
+def check_request(
+    problem: Problem,
+    n: int,
+    M: int,
+    Q: int,
+    s: float,
+    x,
+    seed: int = 0,
+    key: Sequence[int] = (),
+    replications: Optional[int] = None,
+    threads: int = 1,
+    *,
+    max_level: int = DEFAULT_MAX_LEVEL,
+    max_gaussians: int = DEFAULT_MAX_GAUSSIANS,
+) -> np.ndarray:
+    """Return x as a float array if the request is well formed and within budget.
 
-
-def _validate_point(problem: Problem, s: float, x: np.ndarray) -> np.ndarray:
+    ValueError: bad point, level (n < 0, M < 1, Q outside [1, 64]), seed, key,
+    replications or threads.
+    BudgetError: n above ``max_level``, M^n above the sample cap, or
+    ``cost_rn_exact`` Gaussians per estimate above ``max_gaussians``.
+    """
     if not 0.0 <= s < problem.horizon:
         raise ValueError(f"need 0 <= s < horizon={problem.horizon}, got s={s}")
     x = np.asarray(x, dtype=float)
@@ -187,7 +193,32 @@ def _validate_point(problem: Problem, s: float, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"x must have shape ({problem.dim},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
+    if n < 0:
+        raise ValueError(f"need level n >= 0, got {n}")
+    if M < 1 or Q < 1:
+        raise ValueError(f"need M >= 1 and Q >= 1, got M={M}, Q={Q}")
+    build_rule(Q)  # rejects orders above 64
+    state_for_key(seed, key)
+    if replications is not None and replications < 2:
+        raise ValueError(f"need at least 2 replications, got {replications}")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
+    if n > max_level:
+        raise BudgetError(f"level n={n} exceeds the configured maximum {max_level}")
+    if M**n > DEFAULT_MAX_SAMPLES:
+        raise BudgetError(f"M^n = {M**n} exceeds the sample budget {DEFAULT_MAX_SAMPLES}")
+    predicted = cost_rn_exact(n, M, Q, problem.dim)
+    if predicted > max_gaussians:
+        raise BudgetError(
+            f"predicted {predicted} scalar normal draws per estimate exceed the budget {max_gaussians}"
+        )
     return x
+
+
+def _lane_states(seed: int, key: Sequence[int], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """State words of the lanes keyed ``key + (r,)`` for r = lo..hi-1."""
+    h0, h1 = state_for_key(seed, key)
+    return _extend_state(h0, h1, np.arange(lo, hi, dtype=np.int64))
 
 
 def _mlp_batch(
@@ -314,11 +345,10 @@ def mlp_estimate(
     -------
     Estimate
     """
-    x = _validate_point(problem, s, x)
-    _check_budget(problem.dim, n, M, Q, max_level, max_gaussians)
+    x = check_request(problem, n, M, Q, s, x, seed, key, max_level=max_level, max_gaussians=max_gaussians)
     if counters is None:
         counters = CostCounters()
-    h0, h1 = state_for_key(seed, derive_key((), tuple(key)))
+    h0, h1 = state_for_key(seed, key)
     rule = build_rule(Q)
     components = _mlp_batch(problem, n, M, Q, rule, h0, h1, float(s), x[None, :], counters)[0]
     if not np.all(np.isfinite(components)):
@@ -341,9 +371,7 @@ def _replication_batch(
     counters: CostCounters,
 ) -> np.ndarray:
     """Estimates for replications rep_lo..rep_hi-1, keys ``key + (r,)``."""
-    h0, h1 = state_for_key(seed, derive_key((), tuple(key)))
-    reps = np.arange(rep_lo, rep_hi, dtype=np.int64)
-    rh0, rh1 = _extend_state(h0, h1, reps)
+    rh0, rh1 = _lane_states(seed, key, rep_lo, rep_hi)
     xs = np.repeat(x[None, :], rep_hi - rep_lo, axis=0)
     return _mlp_batch(problem, n, M, Q, rule, rh0, rh1, s, xs, counters)
 
@@ -403,12 +431,9 @@ def mc_l2_error(
     """
     if problem.exact is None:
         raise ValueError("mc_l2_error requires a problem with an exact solution")
-    if replications < 2:
-        raise ValueError(f"need at least 2 replications, got {replications}")
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
-    x = _validate_point(problem, s, x)
-    _check_budget(problem.dim, n, M, Q, max_level, max_gaussians)
+    x = check_request(
+        problem, n, M, Q, s, x, seed, key, replications, threads, max_level=max_level, max_gaussians=max_gaussians
+    )
     if counters is None:
         counters = CostCounters()
     rule = build_rule(Q)
@@ -463,22 +488,17 @@ def discrete_fk_residual(
         raise ValueError(f"residual check supports 1 <= n <= 2, got {n}")
     if M > 3 or Q > 3 or problem.dim > 3:
         raise ValueError(f"residual check guard: need M, Q <= 3 and d <= 3, got M={M}, Q={Q}, d={problem.dim}")
-    if replications < 2:
-        raise ValueError(f"need at least 2 replications, got {replications}")
-    x = _validate_point(problem, s, x)
+    x = check_request(problem, n, M, Q, s, x, seed, key, replications)
     d = problem.dim
     T = problem.horizon
     span = T - s
     R = replications
     rule = build_rule(Q)
     counters = CostCounters()
-    base_key = derive_key((), tuple(key))
 
-    lhs = _replication_batch(problem, n, M, Q, rule, seed, derive_key(base_key, (0,)), 0, R, float(s), x, counters)
+    lhs = _replication_batch(problem, n, M, Q, rule, seed, (*key, 0), 0, R, float(s), x, counters)
 
-    h0, h1 = state_for_key(seed, derive_key(base_key, (1,)))
-    reps = np.arange(R, dtype=np.int64)
-    rh0, rh1 = _extend_state(h0, h1, reps)
+    rh0, rh1 = _lane_states(seed, (*key, 1), 0, R)
     nodes = s + rule.nodes * span
     times = np.append(nodes, T)
     z = _standard_normals(rh0, rh1, (Q + 1) * d).reshape(R, Q + 1, d)
@@ -490,8 +510,7 @@ def discrete_fk_residual(
     rhs[:, 0] = g_t
     rhs[:, 1:] = g_t[:, None] * dw_T / span
 
-    ih0, ih1 = state_for_key(seed, derive_key(base_key, (2,)))
-    ih0, ih1 = _extend_state(ih0, ih1, reps)
+    ih0, ih1 = _lane_states(seed, (*key, 2), 0, R)
     for k in range(Q):
         t_k = float(nodes[k])
         w_k = float(rule.weights[k]) * span

@@ -74,12 +74,12 @@ def _extend_state(h0: np.ndarray, h1: np.ndarray, label) -> tuple[np.ndarray, np
 
 
 def state_for_key(seed: int, key: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Fold (seed, key) into the shape-(1,) lane state words; seed in [0, 2**64)."""
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    """Fold (seed, key) into shape-(1,) state words; integer seed in [0, 2**64), labels as in derive_key."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     h0, h1 = _root_state(seed)
-    for label in key:
-        h0, h1 = _extend_state(h0, h1, int(label))
+    for label in derive_key((), key):
+        h0, h1 = _extend_state(h0, h1, label)
     return h0, h1
 
 
@@ -150,7 +150,7 @@ def sample_path(seed: int, key: Sequence[int], dimension: int, start: float, tim
     if not t[0] > start:
         raise ValueError(f"all times must exceed start={start}, got first time {t[0]}")
 
-    h0, h1 = state_for_key(seed, derive_key((), tuple(key)))
+    h0, h1 = state_for_key(seed, key)
     z = _standard_normals(h0, h1, t.size * dimension)[0].reshape(t.size, dimension)
     dt = np.diff(t, prepend=start)
     increments = z * np.sqrt(dt)[:, None]

@@ -157,6 +157,23 @@ def test_config_errors_exit_2(tmp_path):
     assert main(converge_args(out, "--t0", "2.0")) == 2
     assert main(converge_args(out, "--level", "1,2,2", "--diagonal", "2")) == 2
     assert main(converge_args(out, "--seed", "-1")) == 2
+    assert main(converge_args(out, "--param", "foo=1")) == 2  # unknown parameter
+    assert main(converge_args(out, "--param", "c=-1")) == 2
+    assert main(converge_args(out, "--param", "horizon=0")) == 2
+    assert main(converge_args(out, "--x", "1,nan")) == 2
+    assert main(converge_args(out, "--level", "3,3,70")) == 2  # Q above 64
+    assert not out.exists()
+
+
+def test_bad_level_fails_before_any_sampling(tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a level was sampled before every level passed the guard")
+
+    monkeypatch.setattr("mlpicard.cli.mc_l2_error", no_sampling)
+    out = tmp_path / "x.csv"
+    assert main(converge_args(out, "--level", "3,3,70")) == 2
+    assert main(converge_args(out, "--level", "7,2,2")) == 4
+    assert not out.exists()
 
 
 def test_budget_exceeded_exits_4(tmp_path):

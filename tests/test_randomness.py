@@ -26,18 +26,23 @@ def test_derive_key_rejects_non_integers():
         derive_key((), (1.5,))
     with pytest.raises(ValueError):
         derive_key((True,), (1,))
+    for label in (1.5, True):  # would alias label 1 if not rejected
+        with pytest.raises(ValueError):
+            state_for_key(0, (label,))
 
 
 def test_derive_key_rejects_labels_outside_int64():
     for label in (2**63, -(2**63) - 1):
         with pytest.raises(ValueError, match=str(label)):
             derive_key((), (label,))
+        with pytest.raises(ValueError, match=str(label)):
+            state_for_key(0, (label,))
     assert derive_key((2**63 - 1,), (-(2**63),)) == (2**63 - 1, -(2**63))
     state_for_key(0, (2**63 - 1, -(2**63)))
 
 
 def test_state_for_key_rejects_seeds_outside_uint64():
-    for seed in (-1, 2**64):
+    for seed in (-1, 2**64, 1.5, True):  # a float or bool seed would alias seed 1
         with pytest.raises(ValueError, match="seed"):
             state_for_key(seed, ())
     low, high = state_for_key(0, ()), state_for_key(2**64 - 1, ())
