@@ -17,8 +17,11 @@ Carlo sample owns a distinct multi-index key, so the whole tree of
 draws is reproducible and independent of scheduling.
 
 All user functions are evaluated on batches: ``g(x)`` maps (L, d) to
-(L,), ``f(t, x, w, z)`` maps a scalar time plus (L, d), (L,), (L, d) to
-(L,), and ``exact(t, x)`` maps a scalar time plus (L, d) to (L, d+1).
+(L,), ``f(t, x, w, z)`` maps a time ``t`` -- a float, or an (L,) array
+when lanes at different Gauss-Legendre nodes share one call -- plus
+(L, d), (L,), (L, d) to (L,), and ``exact(t, x)`` maps a scalar time
+plus (L, d) to (L, d+1).  An f or g output of any other shape raises
+``ConfigError``.
 
 Cost accounting: counters tally every scalar Gaussian draw and every
 f/g evaluation at sampled points.  The one terminal value g(x) at the
@@ -32,14 +35,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .analysis import cost_rn_exact
-from .errors import BudgetError, EvaluationError
+from .errors import BudgetError, ConfigError, EvaluationError
 from .quadrature import GaussLegendreRule, build_rule
-from .randomness import _extend_state, _standard_normals, state_for_key
+from .randomness import _check_seed, _extend_state, _standard_normals, derive_key, state_for_key
 
 __all__ = [
     "CostCounters",
@@ -57,10 +60,18 @@ DEFAULT_MAX_LEVEL = 6
 DEFAULT_MAX_SAMPLES = 10**8
 DEFAULT_MAX_GAUSSIANS = 10**8
 
+# Gaussians per Monte Carlo block (B * M^n * Q * d) up to which a call
+# folds several time nodes into the lanes of one recursive call
+_FOLD_CAP = 2**16
+
 
 @dataclass(frozen=True)
 class Problem:
     """A semilinear heat problem on [0, horizon] x R^dim.
+
+    ``terminal`` maps (L, d) points to (L,) values; ``nonlinearity(t, x,
+    w, z)`` maps a time ``t`` (a float or an (L,) array of per-lane
+    times) and (L, d), (L,), (L, d) arrays to (L,) values.
 
     ``lip_f`` holds the d+1 Lipschitz constants of the nonlinearity in
     (w, z), ``lip_g`` the d coordinate Lipschitz constants of the
@@ -73,7 +84,7 @@ class Problem:
     horizon: float
     dim: int
     terminal: Callable[[np.ndarray], np.ndarray]
-    nonlinearity: Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    nonlinearity: Callable[[Union[float, np.ndarray], np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     lip_f: np.ndarray
     lip_g: np.ndarray
     exact: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
@@ -198,7 +209,8 @@ def check_request(
     if M < 1 or Q < 1:
         raise ValueError(f"need M >= 1 and Q >= 1, got M={M}, Q={Q}")
     build_rule(Q)  # rejects orders above 64
-    state_for_key(seed, key)
+    _check_seed(seed)
+    derive_key((), key)
     if replications is not None and replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
     if threads < 1:
@@ -215,6 +227,26 @@ def check_request(
     return x
 
 
+def _evaluate(fn: Callable, name: str, lanes: int, *args) -> np.ndarray:
+    """``fn(*args)`` as a float array, which must have shape (lanes,)."""
+    out = np.asarray(fn(*args), dtype=float)
+    if out.shape != (lanes,):
+        raise ConfigError(f"problem.{name} returned shape {out.shape}, expected ({lanes},)")
+    return out
+
+
+def _sample_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the sample axis 0, adding rows in index order.
+
+    ``a.sum(axis=0)`` adds rows in order when the other axes hold two or
+    more elements but sums a lone column pairwise, which would make a
+    one-lane batch round differently from the same lane in a larger one;
+    a lone column is therefore accumulated.  (Accumulating every array
+    would cost a full-size temporary, about 12% of a d=10 study.)
+    """
+    return a.sum(axis=0) if a[0].size > 1 else np.cumsum(a, axis=0)[-1]
+
+
 def _lane_states(seed: int, key: Sequence[int], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """State words of the lanes keyed ``key + (r,)`` for r = lo..hi-1."""
     h0, h1 = state_for_key(seed, key)
@@ -229,28 +261,29 @@ def _mlp_batch(
     rule: GaussLegendreRule,
     h0: np.ndarray,
     h1: np.ndarray,
-    s: float,
+    s: Union[float, np.ndarray],
     x: np.ndarray,
     counters: CostCounters,
 ) -> np.ndarray:
     """Level-n estimates for a batch of lanes.
 
-    ``h0``/``h1`` are the per-lane key states and ``x`` the per-lane
-    points, shape (B, d).  Returns (B, d+1).  Monte Carlo sample axes
-    are folded into the lane axis for recursive calls, so the work per
-    lane -- and hence every per-lane result -- is independent of how
-    lanes are batched.
+    ``h0``/``h1`` are the per-lane key states, ``x`` the per-lane
+    points, shape (B, d), and ``s`` the start time: a float shared by
+    all lanes or a (B,) array of per-lane times.  Returns (B, d+1).
+    Monte Carlo sample axes and groups of time nodes are folded into the
+    lane axis for recursive calls, so the work per lane -- and hence
+    every per-lane result -- is independent of how lanes are batched.
     """
     B, d = x.shape
     if n == 0:
         return np.zeros((B, d + 1))
 
-    T = problem.horizon
-    span = T - s
+    s = np.asarray(s, dtype=float)
+    span = problem.horizon - s
     out = np.zeros((B, d + 1))
 
     # center terminal value, shared by all samples of this call
-    gx = np.asarray(problem.terminal(x), dtype=float).reshape(B)
+    gx = _evaluate(problem.terminal, "terminal", B, x)
     out[:, 0] = gx
 
     m = M**n
@@ -259,16 +292,19 @@ def _mlp_batch(
     th0, th1 = _extend_state(th0, th1, -labels)  # (m, B): keys (key, 0, -i)
     z = _standard_normals(th0, th1, d).reshape(m, B, d)
     counters.gaussians_drawn += m * B * d
-    dw = z * math.sqrt(span)
-    gy = np.asarray(problem.terminal((x[None, :, :] + dw).reshape(m * B, d)), dtype=float).reshape(m, B)
+    dw = z * np.sqrt(span)[..., None]
+    gy = _evaluate(problem.terminal, "terminal", m * B, (x[None, :, :] + dw).reshape(m * B, d)).reshape(m, B)
     counters.g_evals += m * B
     diff = gy - gx[None, :]
-    out[:, 0] += diff.sum(axis=0) / m
-    out[:, 1:] += (diff[:, :, None] * dw).sum(axis=0) / (m * span)
+    out[:, 0] += _sample_sum(diff) / m
+    out[:, 1:] += _sample_sum(diff[:, :, None] * dw) / (m * span)[..., None]
 
-    nodes = s + rule.nodes * span
-    weights = rule.weights * span
-    sqrt_dts = np.sqrt(np.diff(nodes, prepend=s))
+    nodes = s[..., None] + rule.nodes * span[..., None]  # (Q,) or (B, Q)
+    weights = rule.weights * span[..., None]
+    sqrt_dts = np.sqrt(np.diff(nodes, prepend=s[..., None]))
+    # every descendant's block of B * M^n * Q * d Gaussians grows by the
+    # group size, so groups stop at the cap
+    group = max(1, min(Q, _FOLD_CAP // (B * M**n * Q * d)))
 
     for level in range(n):
         m = M ** (n - level)
@@ -277,33 +313,37 @@ def _mlp_batch(
         ph0, ph1 = _extend_state(ph0, ph1, labels)  # (m, B): path keys (key, level, i)
         z = _standard_normals(ph0, ph1, Q * d).reshape(m, B, Q, d)
         counters.gaussians_drawn += m * B * Q * d
-        dw_nodes = np.cumsum(z * sqrt_dts[None, None, :, None], axis=2)
+        dw_nodes = np.cumsum(z * sqrt_dts[..., None], axis=2)
         if level >= 1:
             nh0, nh1 = _extend_state(h0, h1, -level)
             nh0, nh1 = _extend_state(nh0, nh1, labels)  # (m, B): prefix (key, -level, i)
-        for k in range(Q):
-            t_k = float(nodes[k])
-            dwk = dw_nodes[:, :, k, :]
-            yk = (x[None, :, :] + dwk).reshape(m * B, d)
+        for k0 in range(0, Q, group):
+            k1 = min(k0 + group, Q)
+            lanes = m * B * (k1 - k0)
+            ranks = np.arange(k0 + 1, k1 + 1, dtype=np.int64)
+            t = nodes[..., k0:k1]
+            t = t.item() if t.size == 1 else np.broadcast_to(t, (m, B, k1 - k0)).reshape(lanes)
+            y = (x[None, :, None, :] + dw_nodes[:, :, k0:k1, :]).reshape(lanes, d)
 
-            ah0, ah1 = _extend_state(ph0, ph1, k + 1)  # keys (key, level, i, rank)
-            inner = _mlp_batch(problem, level, M, Q, rule, ah0.reshape(-1), ah1.reshape(-1), t_k, yk, counters)
-            fv = np.asarray(problem.nonlinearity(t_k, yk, inner[:, 0], inner[:, 1:]), dtype=float).reshape(m * B)
-            counters.f_evals += m * B
+            ah0, ah1 = _extend_state(ph0[:, :, None], ph1[:, :, None], ranks)  # keys (key, level, i, rank)
+            inner = _mlp_batch(problem, level, M, Q, rule, ah0.reshape(-1), ah1.reshape(-1), t, y, counters)
+            fv = _evaluate(problem.nonlinearity, "nonlinearity", lanes, t, y, inner[:, 0], inner[:, 1:])
+            counters.f_evals += lanes
             if level >= 1:
-                bh0, bh1 = _extend_state(nh0, nh1, k + 1)  # keys (key, -level, i, rank)
-                inner_lo = _mlp_batch(
-                    problem, level - 1, M, Q, rule, bh0.reshape(-1), bh1.reshape(-1), t_k, yk, counters
-                )
-                fv = fv - np.asarray(
-                    problem.nonlinearity(t_k, yk, inner_lo[:, 0], inner_lo[:, 1:]), dtype=float
-                ).reshape(m * B)
-                counters.f_evals += m * B
+                bh0, bh1 = _extend_state(nh0[:, :, None], nh1[:, :, None], ranks)  # keys (key, -level, i, rank)
+                lo = _mlp_batch(problem, level - 1, M, Q, rule, bh0.reshape(-1), bh1.reshape(-1), t, y, counters)
+                fv = fv - _evaluate(problem.nonlinearity, "nonlinearity", lanes, t, y, lo[:, 0], lo[:, 1:])
+                counters.f_evals += lanes
 
-            fmat = fv.reshape(m, B)
-            w_over_m = float(weights[k]) / m
-            out[:, 0] += w_over_m * fmat.sum(axis=0)
-            out[:, 1:] += (w_over_m / (t_k - s)) * (fmat[:, :, None] * dwk).sum(axis=0)
+            # accumulate node by node in k order, as an unfolded call would
+            fv = fv.reshape(m, B, k1 - k0)
+            for k in range(k0, k1):
+                fmat = fv[:, :, k - k0]
+                w_over_m = weights[..., k] / m
+                out[:, 0] += w_over_m * _sample_sum(fmat)
+                out[:, 1:] += (w_over_m / (nodes[..., k] - s))[..., None] * _sample_sum(
+                    fmat[:, :, None] * dw_nodes[:, :, k, :]
+                )
     return out
 
 
@@ -506,20 +546,21 @@ def discrete_fk_residual(
 
     rhs = np.zeros((R, d + 1))
     dw_T = dw[:, Q, :]
-    g_t = np.asarray(problem.terminal(x[None, :] + dw_T), dtype=float).reshape(R)
+    g_t = _evaluate(problem.terminal, "terminal", R, x[None, :] + dw_T)
     rhs[:, 0] = g_t
     rhs[:, 1:] = g_t[:, None] * dw_T / span
 
     ih0, ih1 = _lane_states(seed, (*key, 2), 0, R)
+    ranks = np.arange(1, Q + 1, dtype=np.int64)
+    kh0, kh1 = _extend_state(ih0[:, None], ih1[:, None], ranks)  # (R, Q): keys (key, 2, r, rank)
+    t = np.broadcast_to(nodes, (R, Q)).reshape(R * Q)
+    y = (x[None, None, :] + dw[:, :Q, :]).reshape(R * Q, d)
+    inner = _mlp_batch(problem, n - 1, M, Q, rule, kh0.reshape(-1), kh1.reshape(-1), t, y, counters)
+    fv = _evaluate(problem.nonlinearity, "nonlinearity", R * Q, t, y, inner[:, 0], inner[:, 1:]).reshape(R, Q)
     for k in range(Q):
-        t_k = float(nodes[k])
         w_k = float(rule.weights[k]) * span
-        y = x[None, :] + dw[:, k, :]
-        kh0, kh1 = _extend_state(ih0, ih1, k + 1)
-        inner = _mlp_batch(problem, n - 1, M, Q, rule, kh0, kh1, t_k, y, counters)
-        fv = np.asarray(problem.nonlinearity(t_k, y, inner[:, 0], inner[:, 1:]), dtype=float).reshape(R)
-        rhs[:, 0] += w_k * fv
-        rhs[:, 1:] += (w_k / (t_k - s)) * fv[:, None] * dw[:, k, :]
+        rhs[:, 0] += w_k * fv[:, k]
+        rhs[:, 1:] += (w_k / (nodes[k] - s)) * fv[:, k, None] * dw[:, k, :]
 
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise EvaluationError("residual estimation produced non-finite values")

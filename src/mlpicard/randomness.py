@@ -73,10 +73,15 @@ def _extend_state(h0: np.ndarray, h1: np.ndarray, label) -> tuple[np.ndarray, np
     return n0, n1
 
 
-def state_for_key(seed: int, key: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Fold (seed, key) into shape-(1,) state words; integer seed in [0, 2**64), labels as in derive_key."""
+def _check_seed(seed) -> None:
+    """Reject a seed that is not an integer in [0, 2**64)."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def state_for_key(seed: int, key: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Fold (seed, key) into shape-(1,) state words; integer seed in [0, 2**64), labels as in derive_key."""
+    _check_seed(seed)
     h0, h1 = _root_state(seed)
     for label in derive_key((), key):
         h0, h1 = _extend_state(h0, h1, label)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mlpicard import mlp_core
 from mlpicard.analysis import cost_fe_exact, cost_rn_exact
-from mlpicard.errors import BudgetError, EvaluationError
+from mlpicard.errors import BudgetError, ConfigError, EvaluationError
 from mlpicard.mlp_core import (
     CostCounters,
     Problem,
@@ -120,6 +121,103 @@ def test_mc_l2_error_more_threads_than_replications():
     few = mc_l2_error(problem, 1, 2, 2, 0.0, np.zeros(1), 3, seed=2, threads=8)
     one = mc_l2_error(problem, 1, 2, 2, 0.0, np.zeros(1), 3, seed=2, threads=1)
     assert np.array_equal(few.estimates, one.estimates)
+
+
+def test_one_lane_chunks_keep_thread_invariance():
+    # a chunk of one replication used to sum its M^n >= 8 samples pairwise
+    # while wider chunks added them in order
+    for dim in (1, 2):
+        problem = manufactured_sine(dim)
+        x = np.linspace(-0.3, 0.2, dim)
+        one = mc_l2_error(problem, 2, 3, 2, 0.0, x, 3, seed=7, key=(4,), threads=1)
+        three = mc_l2_error(problem, 2, 3, 2, 0.0, x, 3, seed=7, key=(4,), threads=3)
+        assert np.array_equal(one.estimates, three.estimates)
+        assert one.value_error == three.value_error
+        for r in range(3):
+            est = mlp_estimate(problem, 2, 3, 2, key=(4, r), seed=7, s=0.0, x=x)
+            assert np.array_equal(est.components, one.estimates[r])
+
+
+def _outputs_under_cap(monkeypatch, cap):
+    """Estimates and counters on a small grid, with the fold cap set to ``cap``."""
+    monkeypatch.setattr(mlp_core, "_FOLD_CAP", cap)
+    out = []
+    for dim in (1, 2):
+        problem = manufactured_sine(dim)
+        x = np.linspace(-0.4, 0.3, dim)
+        for n in (1, 2, 3):
+            for M in (1, 2, 3):
+                for Q in (1, 2, 3):
+                    for s in (0.0, 0.25):
+                        counters = CostCounters()
+                        est = mlp_estimate(problem, n, M, Q, key=(n, M, Q), seed=17, s=s, x=x, counters=counters)
+                        out.append((est.components, vars(counters)))
+        for threads in (1, 2, 3):
+            counters = CostCounters()
+            report = mc_l2_error(problem, 3, 2, 3, 0.25, x, 5, seed=19, threads=threads, counters=counters)
+            out.append((report.estimates, vars(counters)))
+    return out
+
+
+def test_node_fold_cap_does_not_change_outputs(monkeypatch):
+    # cap 0 never folds, 40 folds part of the nodes in some calls, 10**12
+    # always folds all of them; the default folds these small blocks fully
+    default = _outputs_under_cap(monkeypatch, mlp_core._FOLD_CAP)
+    for cap in (0, 40, 10**12):
+        for (a, ca), (b, cb) in zip(default, _outputs_under_cap(monkeypatch, cap)):
+            assert np.array_equal(a, b)
+            assert ca == cb
+
+
+def _trace_calls(monkeypatch):
+    """Record the block B * M^n * Q * d of every ``_mlp_batch`` call."""
+    calls = []
+    inner = mlp_core._mlp_batch
+
+    def traced(problem, n, M, Q, rule, h0, h1, s, x, counters):
+        calls.append(x.shape[0] * M**n * Q * x.shape[1])
+        return inner(problem, n, M, Q, rule, h0, h1, s, x, counters)
+
+    monkeypatch.setattr(mlp_core, "_mlp_batch", traced)
+    return calls
+
+
+def test_node_fold_call_count_and_block_cap(monkeypatch):
+    problem = manufactured_sine(2)
+    calls = _trace_calls(monkeypatch)
+    mlp_estimate(problem, 3, 3, 3, key=(1,), seed=2, x=np.zeros(2))
+    assert len(calls) == 12
+    assert max(calls) <= max(mlp_core._FOLD_CAP, calls[0])
+    # a cap between the top block (162) and a full fold's deepest block
+    # (4,374) stops folding part-way down the recursion
+    for cap in (200, 500, 2000):
+        monkeypatch.setattr(mlp_core, "_FOLD_CAP", cap)
+        calls.clear()
+        mlp_estimate(problem, 3, 3, 3, key=(1,), seed=2, x=np.zeros(2))
+        assert max(calls) <= max(cap, calls[0])
+
+
+def test_problem_output_shapes_are_checked():
+    def problem(terminal, nonlinearity):
+        return Problem(
+            horizon=1.0,
+            dim=2,
+            terminal=terminal,
+            nonlinearity=nonlinearity,
+            lip_f=np.zeros(3),
+            lip_g=np.zeros(2),
+        )
+
+    good_g = lambda x: np.zeros(np.asarray(x).shape[:-1])
+    good_f = lambda t, x, w, z: np.zeros(np.shape(w))
+    scalar_f = problem(good_g, lambda t, x, w, z: 0.0)
+    with pytest.raises(ConfigError, match=r"nonlinearity returned shape \(\), expected \(\d+,\)"):
+        mlp_estimate(scalar_f, 2, 2, 2, x=np.zeros(2))
+    long_g = problem(lambda x: np.zeros(np.asarray(x).shape[0] + 1), good_f)
+    with pytest.raises(ConfigError, match=r"terminal returned shape \(2,\), expected \(1,\)"):
+        mlp_estimate(long_g, 1, 2, 2, x=np.zeros(2))
+    with pytest.raises(ConfigError, match="nonlinearity"):
+        discrete_fk_residual(scalar_f, 1, 2, 2, 0.0, np.zeros(2), 10)
 
 
 def test_mc_l2_error_zero_problem_is_exact():
