@@ -1,4 +1,4 @@
-"""Counter-based raw bit generation (Philox-4x32, 10 rounds).
+"""Counter-based raw bits (Philox-4x32, 10 rounds) and the compiled sampler.
 
 Each lane is identified by a 128-bit state (two uint64 words): the
 first word keys the generator, the second fills the upper counter
@@ -8,17 +8,28 @@ disjoint, order-independent streams, and any block is addressable in
 O(1) -- no sequential state to advance, which is what makes the whole
 sampler reproducible under batching and threading.
 
-A small C kernel, compiled at import by the system ``cc`` into
-``__pycache__`` (later imports load the cached library), does the heavy
-lifting; ``ctypes`` releases the GIL around it, so replication threads
-overlap.  Without a compiler or a writable cache the numpy pipeline runs
-instead; its output is bit-identical and the tests use it as reference.
+One C source, compiled at import by the system ``cc`` into
+``__pycache__`` (later imports load the cached library), holds the hot
+loops; ``ctypes`` releases the GIL around each call, so replication
+threads overlap.  Besides the uniforms it fuses the whole Gaussian path
+draw into one pass over chunks of a few hundred values: Philox bits,
+then the inverse normal CDF -- a port of cephes ``ndtri`` (Moshier),
+which scipy runs, evaluated in two passes: the branch-free central
+rational for every value, then the two tail branches for the values
+beyond exp(-2) -- then the per-node scaling and the running sum over
+nodes.  It also derives key states (the SplitMix64 absorb chain of
+:mod:`mlpicard.randomness`) for a whole outer product of states and
+labels in one call.  Built with ``-ffp-contract=off``, so no fused
+multiply-add changes a rounding, every result is bit-identical to the
+numpy/scipy reference, which runs instead when there is no compiler or
+no writable cache, and which the tests compare against.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import tempfile
@@ -35,10 +46,17 @@ _WEYL_1 = np.uint64(0xBB67AE85)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 _INV53 = 2.0**-53
+# the largest double below 1; the one word that would round to 1.0 maps here
+_BELOW_ONE = 1.0 - 2.0**-53
 
 # numba is no longer used (the compiled kernel below replaced it); the
 # flag stays because the benchmark's machine record reads it.
 HAVE_NUMBA = False
+
+
+def _units_numpy(words: np.ndarray) -> np.ndarray:
+    """Top 53 bits of each uint64 word as a double in (0, 1)."""
+    return np.minimum(((words >> _S11).astype(np.float64) + 0.5) * _INV53, _BELOW_ONE)
 
 
 def _uniforms_numpy(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndarray:
@@ -60,71 +78,252 @@ def _uniforms_numpy(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndarray:
         c3 = p0 & _MASK32
         k0 = (k0 + _WEYL_0) & _MASK32
         k1 = (k1 + _WEYL_1) & _MASK32
-    word_a = (c0 << _S32) | c1
-    word_b = (c2 << _S32) | c3
     out = np.empty((h0.shape[0], 2 * n_blocks))
-    out[:, 0::2] = ((word_a >> _S11).astype(np.float64) + 0.5) * _INV53
-    out[:, 1::2] = ((word_b >> _S11).astype(np.float64) + 0.5) * _INV53
+    out[:, 0::2] = _units_numpy((c0 << _S32) | c1)
+    out[:, 1::2] = _units_numpy((c2 << _S32) | c3)
     return out[:, :n_vals]
 
 
-# The same rounds, constants and word-to-double map as _uniforms_numpy.
+# The same rounds, constants and word-to-double map as _uniforms_numpy,
+# the cephes ndtri coefficients and branches as scipy.special.ndtri, and
+# the absorb chain of randomness._extend_state.
 _C_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
+
+static void philox(uint64_t h0, uint64_t h1, uint64_t pos, uint64_t w[2])
+{
+    uint32_t c0 = (uint32_t)pos, c1 = (uint32_t)(pos >> 32), c2 = (uint32_t)h1, c3 = (uint32_t)(h1 >> 32);
+    uint32_t k0 = (uint32_t)h0, k1 = (uint32_t)(h0 >> 32);
+    for (int r = 0; r < 10; r++, k0 += 0x9E3779B9u, k1 += 0xBB67AE85u) {
+        uint64_t p0 = (uint64_t)0xD2511F53u * c0, p1 = (uint64_t)0xCD9E8D57u * c2;
+        c0 = (uint32_t)(p1 >> 32) ^ c1 ^ k0, c1 = (uint32_t)p1;
+        c2 = (uint32_t)(p0 >> 32) ^ c3 ^ k1, c3 = (uint32_t)p0;
+    }
+    w[0] = ((uint64_t)c0 << 32) | c1, w[1] = ((uint64_t)c2 << 32) | c3;
+}
+
+static double unit(uint64_t w)
+{
+    double u = ((double)(w >> 11) + 0.5) * 0x1p-53;
+    return u < 1.0 ? u : 1.0 - 0x1p-53;
+}
+
+/* uniforms at flat positions start..start+n of lanes holding n_vals each */
+static void fill_units(const uint64_t *h0, const uint64_t *h1, int64_t n_vals, int64_t start, int64_t n, double *u)
+{
+    int64_t lane = start / n_vals, p = start % n_vals;
+    uint64_t w[2];
+    for (int64_t i = 0; i < n;) {
+        philox(h0[lane], h1[lane], (uint64_t)p / 2, w);
+        u[i++] = unit(w[p & 1]);
+        if (++p < n_vals && (p & 1) && i < n)
+            u[i++] = unit(w[1]), p++;
+        if (p == n_vals)
+            lane++, p = 0;
+    }
+}
+
 void philox_uniforms(const uint64_t *h0, const uint64_t *h1, int64_t lanes, int64_t n_vals, double *out)
 {
-    for (int64_t lane = 0; lane < lanes; lane++, out += n_vals) {
-        for (int64_t j = 0; j < n_vals; j += 2) {
-            uint64_t pos = (uint64_t)j / 2;
-            uint32_t c0 = (uint32_t)pos, c1 = (uint32_t)(pos >> 32), c2 = (uint32_t)h1[lane], c3 = (uint32_t)(h1[lane] >> 32);
-            uint32_t k0 = (uint32_t)h0[lane], k1 = (uint32_t)(h0[lane] >> 32);
-            for (int r = 0; r < 10; r++, k0 += 0x9E3779B9u, k1 += 0xBB67AE85u) {
-                uint64_t p0 = (uint64_t)0xD2511F53u * c0, p1 = (uint64_t)0xCD9E8D57u * c2;
-                c0 = (uint32_t)(p1 >> 32) ^ c1 ^ k0, c1 = (uint32_t)p1;
-                c2 = (uint32_t)(p0 >> 32) ^ c3 ^ k1, c3 = (uint32_t)p0;
+    fill_units(h0, h1, n_vals, 0, lanes * n_vals, out);
+}
+
+void units_from_words(const uint64_t *w, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = unit(w[i]);
+}
+
+static const double P0[5] = {-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+                             1.39312609387279679503E1, -1.23916583867381258016E0};
+static const double Q0[8] = {1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+                             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+                             1.59056225126211695515E1, -1.18331621121330003142E0};
+static const double P1[9] = {4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+                             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+                             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4};
+static const double Q1[8] = {1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+                             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+                             -3.80806407691578277194E-2, -9.33259480895457427372E-4};
+static const double P2[9] = {3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+                             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+                             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9};
+static const double Q2[8] = {6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+                             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+                             2.89247864745380683936E-6, 6.79019408009981274425E-9};
+static const double S2PI = 2.50662827463100050242E0, EXPM2 = 0.13533528323661269189;
+
+static double polevl(double x, const double *c, int n)
+{
+    double a = *c++;
+    while (n--)
+        a = a * x + *c++;
+    return a;
+}
+
+static double p1evl(double x, const double *c, int n)
+{
+    double a = x + *c++;
+    while (--n)
+        a = a * x + *c++;
+    return a;
+}
+
+static double central(double y)
+{
+    y = y - 0.5;
+    double y2 = y * y;
+    return (y + y * (y2 * polevl(y2, P0, 4) / p1evl(y2, Q0, 8))) * S2PI;
+}
+
+static double ndtri(double y)
+{
+    if (y == 0.0)
+        return -INFINITY;
+    if (y == 1.0)
+        return INFINITY;
+    if (y < 0.0 || y > 1.0)
+        return NAN;
+    int upper = y > 1.0 - EXPM2;
+    if (upper)
+        y = 1.0 - y;
+    if (y > EXPM2)
+        return central(y);
+    double x = sqrt(-2.0 * log(y)), z = 1.0 / x;
+    double x1 = x < 8.0 ? z * polevl(z, P1, 8) / p1evl(z, Q1, 8) : z * polevl(z, P2, 8) / p1evl(z, Q2, 8);
+    x = x - log(x) / x - x1;
+    return upper ? x : -x;
+}
+
+/* the central rational for every value, then the full function where u is in a tail */
+void ndtri_array(const double *u, int64_t n, double *z)
+{
+    for (int64_t i = 0; i < n; i++)
+        z[i] = central(u[i]);
+    for (int64_t i = 0; i < n; i++)
+        if (!(u[i] > EXPM2 && u[i] <= 1.0 - EXPM2))
+            z[i] = ndtri(u[i]);
+}
+
+/* out[lane, k, c] = sum over j <= k of ndtri(u[lane, j * d + c]) * scales[lane % B, j] */
+void brownian_paths(const uint64_t *h0, const uint64_t *h1, int64_t lanes, int64_t Q, int64_t d,
+                    const double *scales, int64_t B, double *out)
+{
+    enum { CHUNK = 512 };
+    double u[CHUNK];
+    int64_t total = lanes * Q * d, b = 0, k = 0, c = 0;
+    for (int64_t start = 0; start < total; start += CHUNK) {
+        int64_t n = total - start < CHUNK ? total - start : CHUNK;
+        double *z = out + start;
+        fill_units(h0, h1, Q * d, start, n, u);
+        ndtri_array(u, n, z);
+        for (int64_t i = 0; i < n; i++) {
+            double v = z[i] * scales[b * Q + k];
+            z[i] = k ? z[i - d] + v : v;
+            if (++c == d) {
+                c = 0;
+                if (++k == Q)
+                    k = 0, b = b + 1 == B ? 0 : b + 1;
             }
-            uint64_t a = ((uint64_t)c0 << 32) | c1, b = ((uint64_t)c2 << 32) | c3;
-            out[j] = ((double)(a >> 11) + 0.5) * 0x1p-53;
-            if (j + 1 < n_vals)
-                out[j + 1] = ((double)(b >> 11) + 0.5) * 0x1p-53;
         }
     }
 }
+
+static uint64_t mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    return z ^ (z >> 31);
+}
+
+static void absorb(uint64_t *h0, uint64_t *h1, int64_t label)
+{
+    *h0 = mix64(*h0 + ((uint64_t)label * 0x9E3779B97F4A7C15u ^ 0xD1B54A32D192ED03u));
+    *h1 = mix64((*h1 ^ *h0) + 0x8CB92BA72F3D8DD7u);
+}
+
+/* state a * C + c absorbs labels[0..n_chain), then each of the next
+   n_labels labels l into word (a * n_labels + l) * C + c of out0 and out1,
+   the two halves of one buffer */
+void extend_states(const uint64_t *h0, const uint64_t *h1, int64_t A, int64_t C, const int64_t *labels,
+                   int64_t n_chain, int64_t n_labels, uint64_t *out0)
+{
+    uint64_t *out1 = out0 + A * n_labels * C;
+    for (int64_t a = 0; a < A; a++)
+        for (int64_t c = 0; c < C; c++) {
+            uint64_t s0 = h0[a * C + c], s1 = h1[a * C + c];
+            for (int64_t j = 0; j < n_chain; j++)
+                absorb(&s0, &s1, labels[j]);
+            for (int64_t l = 0; l < n_labels; l++) {
+                uint64_t t0 = s0, t1 = s1;
+                absorb(&t0, &t1, labels[n_chain + l]);
+                out0[(a * n_labels + l) * C + c] = t0, out1[(a * n_labels + l) * C + c] = t1;
+            }
+        }
+}
 """
-_CC_FLAGS = ("-O2", "-shared", "-fPIC")
+_CC_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_P, _I = ctypes.c_void_p, ctypes.c_int64
+_SIGNATURES = {
+    "philox_uniforms": (_P, _P, _I, _I, _P),
+    "units_from_words": (_P, _I, _P),
+    "ndtri_array": (_P, _I, _P),
+    "brownian_paths": (_P, _P, _I, _I, _I, _P, _I, _P),
+    "extend_states": (_P, _P, _I, _I, _P, _I, _I, _P),
+}
 
 
 def _load_kernel(cache_dir: str):
-    """The compiled ``philox_uniforms``, built into ``cache_dir`` on first use.
+    """The compiled library, built into ``cache_dir`` on first use.
 
     Returns None when the compiler is missing or fails, or the directory
-    cannot be written; the caller then uses the numpy pipeline.
+    cannot be written; the callers then use the numpy pipeline.
     """
     tag = hashlib.sha256((_C_SOURCE + " ".join(_CC_FLAGS)).encode()).hexdigest()[:16]
-    path = os.path.join(cache_dir, f"_philox-{tag}.so")
+    path = os.path.join(cache_dir, f"_kernel-{tag}.so")
     try:
         if not os.path.exists(path):
             os.makedirs(cache_dir, exist_ok=True)
             # build under a private name, then rename atomically, so a
             # concurrent build in another process never exposes a torn file
-            fd, tmp = tempfile.mkstemp(prefix="_philox-", suffix=".tmp", dir=cache_dir)
+            fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".tmp", dir=cache_dir)
             os.close(fd)
             try:
-                cmd = ["cc", *_CC_FLAGS, "-x", "c", "-", "-o", tmp]
+                cmd = ["cc", *_CC_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"]
                 subprocess.run(cmd, input=_C_SOURCE.encode(), capture_output=True, check=True, timeout=120)
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        kernel = ctypes.CDLL(path).philox_uniforms
+        lib = ctypes.CDLL(path)
     except (OSError, subprocess.SubprocessError):
         return None
-    kernel.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
-    kernel.restype = None
-    return kernel
+    for name, argtypes in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = None
+    return lib
 
 
 _KERNEL = _load_kernel(os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__"))
+
+
+def _address(a: np.ndarray) -> int:
+    """Data address of a C-contiguous array; several times cheaper than ``a.ctypes.data``."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):  # read-only or empty
+        return a.ctypes.data
+
+
+def _contiguous_states(h0: np.ndarray, h1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both state words as C-contiguous uint64 arrays of one shape."""
+    h0 = np.ascontiguousarray(h0, dtype=np.uint64)
+    h1 = np.ascontiguousarray(h1, dtype=np.uint64)
+    if h0.shape != h1.shape:
+        raise ValueError("state words must have matching shapes")
+    return h0, h1
 
 
 def uniforms_from_states(h0: np.ndarray, h1: np.ndarray, n_vals: int, *, force_numpy: bool = False) -> np.ndarray:
@@ -146,15 +345,51 @@ def uniforms_from_states(h0: np.ndarray, h1: np.ndarray, n_vals: int, *, force_n
     """
     if n_vals < 1:
         raise ValueError(f"need n_vals >= 1, got {n_vals}")
-    shape = np.shape(h0)
-    flat0 = np.ascontiguousarray(h0, dtype=np.uint64).reshape(-1)
-    flat1 = np.ascontiguousarray(h1, dtype=np.uint64).reshape(-1)
-    if flat0.shape != flat1.shape:
-        raise ValueError("state words must have matching shapes")
+    h0, h1 = _contiguous_states(h0, h1)
     if _KERNEL is not None and not force_numpy:
-        # contiguous uint64 inputs and float64 output, all referenced during the call
-        out = np.empty((flat0.shape[0], n_vals))
-        _KERNEL(flat0.ctypes.data, flat1.ctypes.data, flat0.shape[0], n_vals, out.ctypes.data)
-    else:
-        out = _uniforms_numpy(flat0, flat1, n_vals)
-    return out.reshape(shape + (n_vals,))
+        out = np.empty(h0.shape + (n_vals,))
+        _KERNEL.philox_uniforms(_address(h0), _address(h1), h0.size, n_vals, _address(out))
+        return out
+    return _uniforms_numpy(h0.reshape(-1), h1.reshape(-1), n_vals).reshape(h0.shape + (n_vals,))
+
+
+def brownian_paths(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -> np.ndarray:
+    """Compiled scaled running sums of normals, shape ``h0.shape + (Q * d,)``.
+
+    ``scales`` has shape (B, Q) and the lane count is a multiple of B;
+    see ``randomness._standard_normals`` for the layout.
+    """
+    h0, h1 = _contiguous_states(h0, h1)
+    scales = np.ascontiguousarray(scales, dtype=np.float64)
+    B, Q = scales.shape
+    out = np.empty(h0.shape + (Q * d,))
+    if out.size:
+        _KERNEL.brownian_paths(_address(h0), _address(h1), h0.size, Q, d, _address(scales), B, _address(out))
+    return out
+
+
+def extend_states(h0: np.ndarray, h1: np.ndarray, labels: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Compiled ``randomness._extend_state``: scalar labels, then one label array.
+
+    The last label's shape must broadcast against the state's as an
+    outer product: its non-unit axes form one block along which the
+    state has size 1.
+    """
+    *chain, last = labels
+    h0, h1 = _contiguous_states(h0, h1)
+    last = np.asarray(last, dtype=np.int64)
+    n = max(h0.ndim, last.ndim)
+    state = (1,) * (n - h0.ndim) + h0.shape
+    lab = (1,) * (n - last.ndim) + last.shape
+    axes = [i for i in range(n) if lab[i] != 1]
+    lo, hi = (axes[0], axes[-1] + 1) if axes else (n, n)
+    if any(np.ndim(label) for label in chain) or state[lo:hi] != (1,) * (hi - lo):
+        raise ValueError(f"cannot extend states of shape {h0.shape} by labels {labels!r} as an outer product")
+    values = np.concatenate((chain, last.reshape(-1)), dtype=np.int64) if chain else last.reshape(-1)
+    out = np.empty((2,) + state[:lo] + lab[lo:hi] + state[hi:], dtype=np.uint64)
+    if out.size:
+        _KERNEL.extend_states(
+            _address(h0), _address(h1), math.prod(state[:lo]), math.prod(state[hi:]),
+            _address(values), len(chain), last.size, _address(out),
+        )
+    return out[0], out[1]

@@ -288,11 +288,9 @@ def _mlp_batch(
 
     m = M**n
     labels = np.arange(1, m + 1, dtype=np.int64)[:, None]
-    th0, th1 = _extend_state(h0, h1, 0)
-    th0, th1 = _extend_state(th0, th1, -labels)  # (m, B): keys (key, 0, -i)
-    z = _standard_normals(th0, th1, d).reshape(m, B, d)
+    th0, th1 = _extend_state(h0, h1, 0, -labels)  # (m, B): keys (key, 0, -i)
+    dw = _standard_normals(th0, th1, d, np.sqrt(span)[..., None]).reshape(m, B, d)
     counters.gaussians_drawn += m * B * d
-    dw = z * np.sqrt(span)[..., None]
     gy = _evaluate(problem.terminal, "terminal", m * B, (x[None, :, :] + dw).reshape(m * B, d)).reshape(m, B)
     counters.g_evals += m * B
     diff = gy - gx[None, :]
@@ -309,14 +307,11 @@ def _mlp_batch(
     for level in range(n):
         m = M ** (n - level)
         labels = np.arange(1, m + 1, dtype=np.int64)[:, None]
-        ph0, ph1 = _extend_state(h0, h1, level)
-        ph0, ph1 = _extend_state(ph0, ph1, labels)  # (m, B): path keys (key, level, i)
-        z = _standard_normals(ph0, ph1, Q * d).reshape(m, B, Q, d)
+        ph0, ph1 = _extend_state(h0, h1, level, labels)  # (m, B): path keys (key, level, i)
+        dw_nodes = _standard_normals(ph0, ph1, Q * d, sqrt_dts).reshape(m, B, Q, d)
         counters.gaussians_drawn += m * B * Q * d
-        dw_nodes = np.cumsum(z * sqrt_dts[..., None], axis=2)
         if level >= 1:
-            nh0, nh1 = _extend_state(h0, h1, -level)
-            nh0, nh1 = _extend_state(nh0, nh1, labels)  # (m, B): prefix (key, -level, i)
+            nh0, nh1 = _extend_state(h0, h1, -level, labels)  # (m, B): prefix (key, -level, i)
         for k0 in range(0, Q, group):
             k1 = min(k0 + group, Q)
             lanes = m * B * (k1 - k0)
@@ -541,8 +536,7 @@ def discrete_fk_residual(
     rh0, rh1 = _lane_states(seed, (*key, 1), 0, R)
     nodes = s + rule.nodes * span
     times = np.append(nodes, T)
-    z = _standard_normals(rh0, rh1, (Q + 1) * d).reshape(R, Q + 1, d)
-    dw = np.cumsum(z * np.sqrt(np.diff(times, prepend=s))[None, :, None], axis=1)
+    dw = _standard_normals(rh0, rh1, (Q + 1) * d, np.sqrt(np.diff(times, prepend=s))).reshape(R, Q + 1, d)
 
     rhs = np.zeros((R, d + 1))
     dw_T = dw[:, Q, :]

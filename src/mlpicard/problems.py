@@ -111,7 +111,8 @@ def manufactured_sine(
 
     def source(t: float, x: np.ndarray) -> np.ndarray:
         phi = phase(t, x)
-        return -np.cos(phi) + kappa * np.sin(phi) - beta * np.sin(np.sin(phi)) - gamma * np.sin(c * np.cos(phi))
+        sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+        return -cos_phi + kappa * sin_phi - beta * np.sin(sin_phi) - gamma * np.sin(c * cos_phi)
 
     def nonlinearity(t: float, x: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)

@@ -9,6 +9,14 @@ mapped to Gaussians through the inverse normal CDF.  There are no
 rejection loops and no sequential generator state, so results do not
 depend on evaluation order, batching, or thread count.
 
+The estimator asks for whole Brownian paths at once: ``_standard_normals``
+with per-node scales returns the running sums of scaled Gaussians, and
+``_extend_state`` absorbs a chain of labels for a whole outer product of
+states and labels.  When the compiled kernel of :mod:`mlpicard._bits`
+loaded, each is one C call that fuses bits, inverse CDF, scaling and
+sum (or the whole absorb chain); otherwise the numpy and scipy pipeline
+below runs, which gives the same bits and serves as the reference.
+
 Within one path the draw for (time rank j, coordinate c) sits at stream
 position j * d + c.  Querying the same key with a prefix of a time list
 therefore reproduces the same physical path; extending the list extends
@@ -23,6 +31,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtri
 
+from . import _bits
 from ._bits import uniforms_from_states
 
 __all__ = [
@@ -60,17 +69,26 @@ def _root_state(seed: int) -> tuple[np.ndarray, np.ndarray]:
     return _mix64(s + _GAMMA), _mix64(s + _GAMMA2)
 
 
-def _extend_state(h0: np.ndarray, h1: np.ndarray, label) -> tuple[np.ndarray, np.ndarray]:
-    """Absorb one signed integer label into the state.
+def _extend_numpy(h0: np.ndarray, h1: np.ndarray, labels: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Reference absorb chain of ``_extend_state``; labels broadcast as numpy does."""
+    for label in labels:
+        v = np.asarray(label, dtype=np.int64).astype(np.uint64)
+        h0 = _mix64(h0 + (v * _GAMMA ^ _ABSORB_A))
+        h1 = _mix64((h1 ^ h0) + _ABSORB_B)
+    return h0, h1
 
-    ``label`` may be a scalar or an integer array broadcastable against
-    the state words; broadcasting is what lets a whole batch of sibling
-    keys be derived in one call.
+
+def _extend_state(h0: np.ndarray, h1: np.ndarray, *labels) -> tuple[np.ndarray, np.ndarray]:
+    """Absorb signed integer labels into the state, one after the other.
+
+    Every label but the last is a scalar.  The last may be an integer
+    array that broadcasts against the state words as an outer product
+    (its non-unit axes form one block along which the state has size 1),
+    which is what lets a whole batch of sibling keys be derived in one
+    call.
     """
-    v = np.asarray(label, dtype=np.int64).astype(np.uint64)
-    n0 = _mix64(h0 + (v * _GAMMA ^ _ABSORB_A))
-    n1 = _mix64((h1 ^ n0) + _ABSORB_B)
-    return n0, n1
+    extend = _extend_numpy if _bits._KERNEL is None else _bits.extend_states
+    return extend(h0, h1, labels)
 
 
 def _check_seed(seed) -> None:
@@ -83,9 +101,8 @@ def state_for_key(seed: int, key: Iterable[int]) -> tuple[np.ndarray, np.ndarray
     """Fold (seed, key) into shape-(1,) state words; integer seed in [0, 2**64), labels as in derive_key."""
     _check_seed(seed)
     h0, h1 = _root_state(seed)
-    for label in derive_key((), key):
-        h0, h1 = _extend_state(h0, h1, label)
-    return h0, h1
+    labels = derive_key((), key)
+    return _extend_state(h0, h1, *labels) if labels else (h0, h1)
 
 
 def derive_key(parent: Sequence[int], extension: Sequence[int]) -> MultiIndex:
@@ -99,9 +116,32 @@ def derive_key(parent: Sequence[int], extension: Sequence[int]) -> MultiIndex:
     return tuple(int(label) for label in out)
 
 
-def _standard_normals(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndarray:
-    """n_vals independent N(0, 1) draws per lane, shape ``h0.shape + (n_vals,)``."""
-    return ndtri(uniforms_from_states(h0, h1, n_vals))
+def _paths_numpy(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -> np.ndarray:
+    """Reference for ``_bits.brownian_paths``: bits, ndtri, scaling and sum as numpy passes."""
+    B, Q = scales.shape
+    z = ndtri(uniforms_from_states(h0, h1, Q * d, force_numpy=True)).reshape(-1, B, Q, d)
+    return np.cumsum(z * scales[:, :, None], axis=2).reshape(np.shape(h0) + (Q * d,))
+
+
+def _standard_normals(h0: np.ndarray, h1: np.ndarray, n_vals: int, scales=None) -> np.ndarray:
+    """n_vals N(0, 1) draws per lane, shape ``h0.shape + (n_vals,)``.
+
+    With ``scales`` of shape (Q,), or (B, Q) with a lane count that is a
+    multiple of B, a lane's draws form Q rows of d = n_vals / Q, and the
+    result holds their running sums over rows after row j is multiplied
+    by ``scales[lane % B, j]``: the Brownian displacements at Q times
+    when the scales are the square roots of the time steps.
+    """
+    scales = np.asarray(np.ones(1) if scales is None else scales, dtype=np.float64)
+    Q = scales.shape[-1]
+    scales = scales.reshape(-1, Q)
+    if n_vals < 1 or n_vals % Q or np.size(h0) % scales.shape[0]:
+        raise ValueError(
+            f"need n_vals a positive multiple of Q and lanes a multiple of B for scales of shape "
+            f"(B, Q) = {scales.shape}, got n_vals={n_vals} and {np.size(h0)} lanes"
+        )
+    paths = _paths_numpy if _bits._KERNEL is None else _bits.brownian_paths
+    return paths(h0, h1, n_vals // Q, scales)
 
 
 @dataclass(frozen=True)

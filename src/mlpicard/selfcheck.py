@@ -1,5 +1,6 @@
 """Built-in verification suite: quadrature identities and bounds, the
-cost model, and the shipped problems' consistency.
+cost model, the compiled sampling kernel, and the shipped problems'
+consistency.
 
 Each check is a named, independently runnable predicate; the CLI turns
 failures into a nonzero exit status.  Checks re-derive everything from
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
+from scipy.special import ndtri
 
-from . import quadrature
+from . import _bits, quadrature, randomness
 from .analysis import (
     binomial,
     cost_fe_exact,
@@ -181,6 +183,33 @@ def _check_cost_model() -> tuple[bool, str]:
     return True, "counters equal the recursions; closed-form caps hold for N <= 8"
 
 
+def _check_bit_kernel() -> tuple[bool, str]:
+    """Compiled paths, states, uniforms and ndtri against the numpy/scipy reference, bitwise."""
+    if _bits._KERNEL is None:
+        return True, "numpy fallback runs (no compiled kernel loaded); nothing to compare"
+    rng = np.random.default_rng(41)
+    for lanes, B, Q, d in ((0, 1, 1, 1), (1, 1, 1, 3), (7, 7, 3, 2), (600, 3, 4, 10)):
+        h0, h1 = rng.integers(0, 2**64, size=(2, lanes), dtype=np.uint64)
+        scales = rng.uniform(0.1, 1.0, size=(B, Q))
+        if not np.array_equal(_bits.brownian_paths(h0, h1, d, scales), randomness._paths_numpy(h0, h1, d, scales)):
+            return False, f"paths differ at (lanes, B, Q, d) = {(lanes, B, Q, d)}"
+        if not np.array_equal(_bits.uniforms_from_states(h0, h1, 5), _bits.uniforms_from_states(h0, h1, 5, force_numpy=True)):
+            return False, f"uniforms differ for {lanes} lanes"
+        labels = rng.integers(-(2**63), 2**63, size=4, dtype=np.int64)
+        for chain in ((), (0,), (2**63 - 1, -(2**63))):
+            got = _bits.extend_states(h0[:, None], h1[:, None], (*chain, labels))
+            want = randomness._extend_numpy(h0[:, None], h1[:, None], (*chain, labels))
+            if not (np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])):
+                return False, f"states differ for {lanes} lanes and chain {chain}"
+    # all three ndtri branches, the far tail (u < exp(-32)) and both ends
+    u = np.concatenate([np.exp(-np.linspace(0.0, 700.0, 2001)), 1.0 - np.exp(-np.linspace(0.0, 36.0, 2001))])
+    z = np.empty_like(u)
+    _bits._KERNEL.ndtri_array(_bits._address(u), u.size, _bits._address(z))
+    if not np.array_equal(z, ndtri(u)):
+        return False, "ndtri differs from scipy.special.ndtri"
+    return True, "compiled kernel runs; paths, states, uniforms and ndtri equal the numpy/scipy reference bitwise"
+
+
 def _check_problem_residuals() -> tuple[bool, str]:
     rng = np.random.default_rng(5)
     details = []
@@ -228,6 +257,7 @@ _CHECKS: Dict[str, Callable[[], tuple[bool, str]]] = {
     "iterated-sum-identity": _check_iterated_sum_identity,
     "log-subadditivity": _check_log_subadditivity,
     "cost-model": _check_cost_model,
+    "bit-kernel": _check_bit_kernel,
     "problem-residuals": _check_problem_residuals,
     "problem-lipschitz": _check_problem_lipschitz,
 }

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mlpicard import mlp_core
+from mlpicard import _bits, mlp_core
 from mlpicard.analysis import cost_fe_exact, cost_rn_exact
 from mlpicard.errors import BudgetError, ConfigError, EvaluationError
 from mlpicard.mlp_core import (
@@ -167,6 +167,21 @@ def test_node_fold_cap_does_not_change_outputs(monkeypatch):
         for (a, ca), (b, cb) in zip(default, _outputs_under_cap(monkeypatch, cap)):
             assert np.array_equal(a, b)
             assert ca == cb
+
+
+def test_compiled_kernel_and_numpy_fallback_give_identical_outputs(monkeypatch):
+    def outputs():
+        out = _outputs_under_cap(monkeypatch, mlp_core._FOLD_CAP)
+        for dim in (1, 3):
+            residual = discrete_fk_residual(manufactured_sine(dim), 2, 3, 2, 0.25, np.full(dim, 0.2), 20, seed=4)
+            out.append((np.concatenate([residual.residual, residual.radius]), {}))
+        return out
+
+    compiled = outputs()
+    monkeypatch.setattr(_bits, "_KERNEL", None)
+    for (a, ca), (b, cb) in zip(compiled, outputs()):
+        assert np.array_equal(a, b)
+        assert ca == cb
 
 
 def _trace_calls(monkeypatch):

@@ -2,11 +2,13 @@ import shutil
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 from mlpicard import _bits
 from mlpicard._bits import uniforms_from_states
 from mlpicard.randomness import (
+    _extend_numpy,
     _extend_state,
     _standard_normals,
     derive_key,
@@ -160,21 +162,102 @@ def test_cross_key_independence():
     assert abs(corr) <= 4.0 / np.sqrt(R)
 
 
-def test_compiled_and_numpy_pipelines_agree():
+def _require_kernel():
     if shutil.which("cc") is not None:
-        assert _bits._KERNEL is not None, "a C compiler is present but the Philox kernel did not load"
+        assert _bits._KERNEL is not None, "a C compiler is present but the kernel did not load"
     if _bits._KERNEL is None:
         pytest.skip("no C compiler; only the numpy pipeline exists")
+
+
+def _random_states(rng, shape):
     # full 64-bit range, so the top bit of every state word is exercised
+    return tuple(rng.integers(0, 2**64, size=shape, dtype=np.uint64) for _ in range(2))
+
+
+def _kernel_map(name, values):
+    """Doubles from the kernel's elementwise test entry ``name``."""
+    out = np.empty(values.shape)
+    getattr(_bits._KERNEL, name)(values.ctypes.data, values.size, out.ctypes.data)
+    return out
+
+
+def test_compiled_and_numpy_pipelines_agree():
+    _require_kernel()
     rng = np.random.default_rng(17)
     for shape in ((257,), (0,), (3, 5)):
-        h0 = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        h1 = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+        h0, h1 = _random_states(rng, shape)
         for n_vals in (1, 2, 3, 7, 8):
             fast = uniforms_from_states(h0, h1, n_vals)
             slow = uniforms_from_states(h0, h1, n_vals, force_numpy=True)
             assert fast.shape == shape + (n_vals,)
             assert np.array_equal(fast, slow)
+    # fused paths against the numpy passes; the kernel works in chunks of
+    # 512 values, so 511 / 513 / 1026 values straddle a chunk boundary
+    for lanes, B, Q, d in ((0, 1, 2, 2), (3, 1, 3, 3), (511, 1, 1, 1), (171, 1, 3, 1), (513, 3, 1, 1),
+                           (2, 2, 1, 513), (64, 16, 4, 10), (9, 9, 3, 2), (1000, 10, 7, 3)):
+        h0, h1 = _random_states(rng, (lanes,))
+        for scales in (rng.uniform(0.1, 2.0, size=Q), rng.uniform(0.1, 2.0, size=(B, Q))):
+            got = _standard_normals(h0, h1, Q * d, scales)
+            z = ndtri(_bits._uniforms_numpy(h0, h1, Q * d)).reshape(-1, scales.size // Q, Q, d)
+            want = np.cumsum(z * scales.reshape(-1, Q)[:, :, None], axis=2).reshape(lanes, Q * d)
+            assert got.shape == (lanes, Q * d)
+            assert np.array_equal(got, want), (lanes, B, Q, d, scales.shape)
+    h0, h1 = _random_states(rng, (4, 3))
+    assert np.array_equal(_standard_normals(h0, h1, 5), ndtri(_bits._uniforms_numpy(h0.ravel(), h1.ravel(), 5)).reshape(4, 3, 5))
+
+
+def test_word_to_double_map_stays_below_one():
+    # ((w >> 11) + 0.5) * 2^-53 rounds to 1.0 for the top 53-bit value only
+    words = np.array([0, 1, 2**63, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
+    old = np.array([((int(w) >> 11) + 0.5) * 2.0**-53 for w in words])
+    assert old[-1] == 1.0
+    want = np.where(old < 1.0, old, 1.0 - 2.0**-53)
+    assert np.array_equal(_bits._units_numpy(words), want)
+    if _bits._KERNEL is not None:
+        assert np.array_equal(_kernel_map("units_from_words", words), want)
+    assert np.isfinite(ndtri(want)).all()
+
+
+def test_compiled_ndtri_matches_scipy_on_every_branch():
+    _require_kernel()
+    e2, e32 = np.exp(-2.0), np.exp(-32.0)
+    edges = [0.0, 1.0, 0.5, 2.0**-54, 5e-324, 1e-300, 1e-20, e32, 1.0 - 2.0**-53, 1.0 - 2.0**-52]
+    for edge in (e2, 1.0 - e2, e32):
+        edges += [np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]
+    rng = np.random.default_rng(3)
+    u = np.concatenate([
+        edges,
+        rng.uniform(e2, 1.0 - e2, 10_000),  # central rational
+        np.exp(-rng.uniform(2.0, 32.0, 10_000)),  # tail, x < 8
+        1.0 - np.exp(-rng.uniform(2.0, 36.0, 10_000)),  # upper tail
+        np.exp(-rng.uniform(32.0, 740.0, 10_000)),  # far tail, u < exp(-32)
+    ])
+    assert np.array_equal(_kernel_map("ndtri_array", u), ndtri(u))
+
+
+def test_compiled_key_states_match_numpy_chain():
+    _require_kernel()
+    rng = np.random.default_rng(8)
+    extremes = np.array([-(2**63), -(2**63) + 1, -7, -1, 0, 1, 2**63 - 1], dtype=np.int64)
+    h0, h1 = _random_states(rng, (5,))
+    cases = [
+        ((h0, h1), (0, -extremes[:, None])),  # (m, B) terminal keys
+        ((h0, h1), (2**63 - 1, extremes[:, None])),
+        ((h0[:, None], h1[:, None]), (extremes,)),  # (B, g) rank keys
+        ((h0[:1], h1[:1]), (extremes,)),  # replication lanes
+        ((h0, h1), (-(2**63), 0, 3)),  # scalar chain
+        ((h0.reshape(5, 1, 1), h1.reshape(5, 1, 1)), (-1, extremes.reshape(1, 7, 1))),
+        ((h0, h1), (np.arange(0)[:, None],)),
+    ]
+    for (a0, a1), labels in cases:
+        got = _extend_state(a0, a1, *labels)
+        want = _extend_numpy(a0, a1, labels)
+        assert got[0].shape == want[0].shape
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), labels
+    with pytest.raises(ValueError, match="outer product"):
+        _extend_state(h0, h1, np.arange(5))  # elementwise, not an outer product
+    with pytest.raises(ValueError, match="outer product"):
+        _extend_state(h0, h1, np.arange(2), 1)  # an array before the last label
 
 
 def test_kernel_build_failure_falls_back_to_numpy(tmp_path, monkeypatch):
@@ -192,11 +275,26 @@ def test_kernel_build_failure_falls_back_to_numpy(tmp_path, monkeypatch):
     assert _bits._load_kernel(str(tmp_path / "file" / "cache")) is None
 
     rng = np.random.default_rng(5)
-    h0 = rng.integers(0, 2**64, size=(4, 3), dtype=np.uint64)
-    h1 = rng.integers(0, 2**64, size=(4, 3), dtype=np.uint64)
-    expected = uniforms_from_states(h0, h1, 5, force_numpy=True)
+    h0, h1 = _random_states(rng, (4, 3))
+    labels = np.arange(-3, 3)[:, None, None]
+    scales = rng.uniform(0.1, 1.0, size=(3, 2))
+    expected = (
+        uniforms_from_states(h0, h1, 5, force_numpy=True),
+        uniforms_from_states(h0, h1, 5),
+        _standard_normals(h0, h1, 6, scales),
+        _standard_normals(h0, h1, 3),
+        *_extend_state(h0, h1, 2, labels),
+    )
     monkeypatch.setattr(_bits, "_KERNEL", None)
-    assert np.array_equal(uniforms_from_states(h0, h1, 5), expected)
+    fallback = (
+        uniforms_from_states(h0, h1, 5),
+        uniforms_from_states(h0, h1, 5),
+        _standard_normals(h0, h1, 6, scales),
+        _standard_normals(h0, h1, 3),
+        *_extend_state(h0, h1, 2, labels),
+    )
+    for got, want in zip(fallback, expected):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def _philox_reference(h0: int, h1: int, block: int) -> tuple[int, int]:
