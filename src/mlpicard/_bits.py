@@ -11,18 +11,18 @@ sampler reproducible under batching and threading.
 One C source, compiled at import by the system ``cc`` into
 ``__pycache__`` (later imports load the cached library), holds the hot
 loops; ``ctypes`` releases the GIL around each call, so replication
-threads overlap.  Besides the uniforms it fuses the whole Gaussian path
-draw into one pass over chunks of a few hundred values: Philox bits,
-then the inverse normal CDF -- a port of cephes ``ndtri`` (Moshier),
-which scipy runs, evaluated in two passes: the branch-free central
-rational for every value, then the two tail branches for the values
-beyond exp(-2) -- then the per-node scaling and the running sum over
-nodes.  It also derives key states (the SplitMix64 absorb chain of
-:mod:`mlpicard.randomness`) for a whole outer product of states and
-labels in one call.  Built with ``-ffp-contract=off``, so no fused
-multiply-add changes a rounding, every result is bit-identical to the
-numpy/scipy reference, which runs instead when there is no compiler or
-no writable cache, and which the tests compare against.
+threads overlap.  It fuses the whole Gaussian path draw into one pass
+over chunks of a few hundred values: Philox bits, then the inverse
+normal CDF -- a port of cephes ``ndtri`` (Moshier), which scipy runs,
+evaluated in two passes: the branch-free central rational for every
+value, then the two tail branches for the values beyond exp(-2) -- then
+the per-node scaling and the running sum over nodes.  It also derives
+key states (the SplitMix64 absorb chain of :mod:`mlpicard.randomness`)
+for a whole outer product of states and labels in one call.  Built with
+``-ffp-contract=off``, so no fused multiply-add changes a rounding,
+every result is bit-identical to the numpy/scipy reference, which runs
+instead when there is no compiler or no writable cache, and which the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -59,16 +59,34 @@ def _units_numpy(words: np.ndarray) -> np.ndarray:
     return np.minimum(((words >> _S11).astype(np.float64) + 0.5) * _INV53, _BELOW_ONE)
 
 
-def _uniforms_numpy(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndarray:
-    """Vectorized reference pipeline; bit-identical to the compiled kernel."""
+def uniforms_from_states(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndarray:
+    """Per-lane uniforms in the open interval (0, 1): the numpy reference pipeline.
+
+    Parameters
+    ----------
+    h0, h1 : np.ndarray
+        uint64 state words, any common shape.
+    n_vals : int
+        Number of uniforms per lane.
+
+    Returns
+    -------
+    np.ndarray
+        float64 array of shape ``h0.shape + (n_vals,)``.
+    """
+    if n_vals < 1:
+        raise ValueError(f"need n_vals >= 1, got {n_vals}")
+    h0, h1 = _contiguous_states(h0, h1)
+    shape = h0.shape + (n_vals,)
+    h0, h1 = h0.reshape(-1, 1), h1.reshape(-1, 1)
     n_blocks = (n_vals + 1) // 2
     pos = np.arange(n_blocks, dtype=np.uint64)
     c0 = (pos & _MASK32)[None, :]
     c1 = (pos >> _S32)[None, :]
-    c2 = (h1 & _MASK32)[:, None]
-    c3 = (h1 >> _S32)[:, None]
-    k0 = (h0 & _MASK32)[:, None]
-    k1 = (h0 >> _S32)[:, None]
+    c2 = h1 & _MASK32
+    c3 = h1 >> _S32
+    k0 = h0 & _MASK32
+    k1 = h0 >> _S32
     for _ in range(10):
         p0 = _MUL_HI * c0
         p1 = _MUL_LO * c2
@@ -78,13 +96,13 @@ def _uniforms_numpy(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndarray:
         c3 = p0 & _MASK32
         k0 = (k0 + _WEYL_0) & _MASK32
         k1 = (k1 + _WEYL_1) & _MASK32
-    out = np.empty((h0.shape[0], 2 * n_blocks))
+    out = np.empty((h0.size, 2 * n_blocks))
     out[:, 0::2] = _units_numpy((c0 << _S32) | c1)
     out[:, 1::2] = _units_numpy((c2 << _S32) | c3)
-    return out[:, :n_vals]
+    return out[:, :n_vals].reshape(shape)
 
 
-# The same rounds, constants and word-to-double map as _uniforms_numpy,
+# The same rounds, constants and word-to-double map as uniforms_from_states,
 # the cephes ndtri coefficients and branches as scipy.special.ndtri, and
 # the absorb chain of randomness._extend_state.
 _C_SOURCE = r"""
@@ -122,11 +140,6 @@ static void fill_units(const uint64_t *h0, const uint64_t *h1, int64_t n_vals, i
         if (p == n_vals)
             lane++, p = 0;
     }
-}
-
-void philox_uniforms(const uint64_t *h0, const uint64_t *h1, int64_t lanes, int64_t n_vals, double *out)
-{
-    fill_units(h0, h1, n_vals, 0, lanes * n_vals, out);
 }
 
 void units_from_words(const uint64_t *w, int64_t n, double *out)
@@ -266,7 +279,6 @@ void extend_states(const uint64_t *h0, const uint64_t *h1, int64_t A, int64_t C,
 _CC_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _P, _I = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = {
-    "philox_uniforms": (_P, _P, _I, _I, _P),
     "units_from_words": (_P, _I, _P),
     "ndtri_array": (_P, _I, _P),
     "brownian_paths": (_P, _P, _I, _I, _I, _P, _I, _P),
@@ -324,33 +336,6 @@ def _contiguous_states(h0: np.ndarray, h1: np.ndarray) -> tuple[np.ndarray, np.n
     if h0.shape != h1.shape:
         raise ValueError("state words must have matching shapes")
     return h0, h1
-
-
-def uniforms_from_states(h0: np.ndarray, h1: np.ndarray, n_vals: int, *, force_numpy: bool = False) -> np.ndarray:
-    """Per-lane uniforms in the open interval (0, 1).
-
-    Parameters
-    ----------
-    h0, h1 : np.ndarray
-        uint64 state words, any common shape.
-    n_vals : int
-        Number of uniforms per lane.
-    force_numpy : bool
-        Use the numpy reference pipeline even when the kernel is loaded.
-
-    Returns
-    -------
-    np.ndarray
-        float64 array of shape ``h0.shape + (n_vals,)``.
-    """
-    if n_vals < 1:
-        raise ValueError(f"need n_vals >= 1, got {n_vals}")
-    h0, h1 = _contiguous_states(h0, h1)
-    if _KERNEL is not None and not force_numpy:
-        out = np.empty(h0.shape + (n_vals,))
-        _KERNEL.philox_uniforms(_address(h0), _address(h1), h0.size, n_vals, _address(out))
-        return out
-    return _uniforms_numpy(h0.reshape(-1), h1.reshape(-1), n_vals).reshape(h0.shape + (n_vals,))
 
 
 def brownian_paths(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -> np.ndarray:

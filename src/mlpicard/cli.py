@@ -23,7 +23,7 @@ from .errors import BudgetError, ConfigError
 from .mlp_core import CostCounters, Problem, check_request, mc_l2_error
 from .problems import build_problem
 from .randomness import state_for_key
-from .selfcheck import available_checks, run_selfcheck
+from .selfcheck import run_selfcheck
 
 __all__ = ["ExperimentConfig", "main", "run_convergence", "write_rows"]
 

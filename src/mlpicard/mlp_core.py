@@ -16,6 +16,9 @@ multiplied by the gradient weight (1, dW_t / (t - s)).  Every Monte
 Carlo sample owns a distinct multi-index key, so the whole tree of
 draws is reproducible and independent of scheduling.
 
+Replications run in lane chunks, so a study holds one chunk per thread
+in memory; results are bitwise independent of chunking and thread count.
+
 All user functions are evaluated on batches: ``g(x)`` maps (L, d) to
 (L,), ``f(t, x, w, z)`` maps a time ``t`` -- a float, or an (L,) array
 when lanes at different Gauss-Legendre nodes share one call -- plus
@@ -33,6 +36,7 @@ recursions of :mod:`mlpicard.analysis` exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -60,9 +64,20 @@ DEFAULT_MAX_LEVEL = 6
 DEFAULT_MAX_SAMPLES = 10**8
 DEFAULT_MAX_GAUSSIANS = 10**8
 
-# Gaussians per Monte Carlo block (B * M^n * Q * d) up to which a call
-# folds several time nodes into the lanes of one recursive call
+# Caps in Gaussians per Monte Carlo block (lanes * M^n * Q * d): up to
+# _FOLD_CAP a call folds time nodes into the lanes of one recursive call;
+# _LANE_CAP bounds the top block of a replication chunk.  One value for
+# both costs either way: 2^16 ran a 16-replication heat d=10 study in
+# 6-lane chunks, 1.58 s against 1.29 s as one batch (+22%); 2^18 folding
+# peaked the 64-replication sine d=2 study at 72 MB against 62 (+16%).
 _FOLD_CAP = 2**16
+_LANE_CAP = 2**18
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """Reject a bool, a non-integer, or an integer below ``low``, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +112,7 @@ class Problem:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        _check_integer("dim", self.dim, 1)
         lip_f = np.asarray(self.lip_f, dtype=float)
         lip_g = np.asarray(self.lip_g, dtype=float)
         if lip_f.shape != (self.dim + 1,):
@@ -192,29 +206,26 @@ def check_request(
 ) -> np.ndarray:
     """Return x as a float array if the request is well formed and within budget.
 
-    ValueError: bad point, level (n < 0, M < 1, Q outside [1, 64]), seed, key,
-    replications or threads.
+    ValueError: n, M, Q, replications or threads not an integer (a bool is
+    not one) of at least 0, 1, 1, 2 and 1, Q above 64, or a bad s, x, seed or key.
     BudgetError: n above ``max_level``, M^n above the sample cap, or
     ``cost_rn_exact`` Gaussians per estimate above ``max_gaussians``.
     """
-    if not 0.0 <= s < problem.horizon:
-        raise ValueError(f"need 0 <= s < horizon={problem.horizon}, got s={s}")
+    for name, value, low in (("n", n, 0), ("M", M, 1), ("Q", Q, 1), ("threads", threads, 1)):
+        _check_integer(name, value, low)
+    if replications is not None:
+        _check_integer("replications", replications, 2)
+    n, M, Q = int(n), int(M), int(Q)  # Python integers, so M^n cannot wrap
+    if not (isinstance(s, numbers.Real) and 0.0 <= s < problem.horizon):
+        raise ValueError(f"need a real s with 0 <= s < horizon={problem.horizon}, got s={s!r}")
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"x must have shape ({problem.dim},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    if n < 0:
-        raise ValueError(f"need level n >= 0, got {n}")
-    if M < 1 or Q < 1:
-        raise ValueError(f"need M >= 1 and Q >= 1, got M={M}, Q={Q}")
     build_rule(Q)  # rejects orders above 64
     _check_seed(seed)
     derive_key((), key)
-    if replications is not None and replications < 2:
-        raise ValueError(f"need at least 2 replications, got {replications}")
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
     if n > max_level:
         raise BudgetError(f"level n={n} exceeds the configured maximum {max_level}")
     if M**n > DEFAULT_MAX_SAMPLES:
@@ -414,20 +425,24 @@ def _replication_batch(
 def _run_replications(
     problem, n, M, Q, rule, seed, key, replications, s, x, counters, threads
 ) -> np.ndarray:
-    """Concatenated per-replication estimates; identical for any thread count."""
-    if threads <= 1:
-        return _replication_batch(problem, n, M, Q, rule, seed, key, 0, replications, s, x, counters)
-    bounds = np.linspace(0, replications, threads + 1).astype(int)
-    chunk_counters = [CostCounters() for _ in range(threads)]
+    """Per-replication estimates from contiguous lane chunks run on ``threads`` threads.
 
-    def work(idx: int) -> np.ndarray:
-        lo, hi = bounds[idx], bounds[idx + 1]
-        if lo == hi:
-            return np.zeros((0, problem.dim + 1))
-        return _replication_batch(problem, n, M, Q, rule, seed, key, lo, hi, s, x, chunk_counters[idx])
+    At least min(threads, replications) chunks of at most
+    max(1, _LANE_CAP // (M^n Q d)) lanes; a lane's result does not depend
+    on its chunk, so neither chunking nor thread count changes any bit.
+    """
+    per_chunk = max(1, _LANE_CAP // (M**n * Q * problem.dim))
+    chunks = max(min(threads, replications), -(-replications // per_chunk))
+    bounds = np.linspace(0, replications, chunks + 1).astype(int).tolist()
+    chunk_counters = [CostCounters() for _ in range(chunks)]
 
+    def work(lo: int, hi: int, chunk_counter: CostCounters) -> np.ndarray:
+        return _replication_batch(problem, n, M, Q, rule, seed, key, lo, hi, s, x, chunk_counter)
+
+    # one thread runs the chunks on the caller: on a pool worker, whose own
+    # malloc arena this adds, the sine d=2 study's peak RSS rose 1-3 MB (2-4%)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(work, range(threads)))
+        parts = list((pool.map if threads > 1 else map)(work, bounds[:-1], bounds[1:], chunk_counters))
     for c in chunk_counters:
         counters.add(c)
     return np.concatenate(parts, axis=0)
@@ -531,7 +546,7 @@ def discrete_fk_residual(
     rule = build_rule(Q)
     counters = CostCounters()
 
-    lhs = _replication_batch(problem, n, M, Q, rule, seed, (*key, 0), 0, R, float(s), x, counters)
+    lhs = _run_replications(problem, n, M, Q, rule, seed, (*key, 0), R, float(s), x, counters, threads=1)
 
     rh0, rh1 = _lane_states(seed, (*key, 1), 0, R)
     nodes = s + rule.nodes * span

@@ -15,7 +15,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from .analysis import log_gamma
-from .mlp_core import Problem
+from .mlp_core import Problem, _check_integer
 
 __all__ = [
     "PROBLEMS",
@@ -35,8 +35,9 @@ def heat_quadratic(dim: int, horizon: float, box_radius: float = 3.0) -> Problem
     declares an evaluation box |x|_inf <= box_radius on which each
     coordinate constant is 2 * box_radius.
     """
-    if dim < 1 or horizon <= 0 or box_radius <= 0:
-        raise ValueError("need dim >= 1, horizon > 0, box_radius > 0")
+    _check_integer("dim", dim, 1)
+    if not (0 < horizon < math.inf and 0 < box_radius < math.inf):
+        raise ValueError(f"need finite horizon > 0 and box_radius > 0, got {horizon} and {box_radius}")
     d, T = int(dim), float(horizon)
 
     def terminal(x: np.ndarray) -> np.ndarray:
@@ -94,12 +95,13 @@ def manufactured_sine(
     Default c = 1/dim keeps the derivative growth mild enough that the
     error bounds stay finite and convergence is visible by level 4.
     """
-    if dim < 1 or horizon <= 0:
-        raise ValueError("need dim >= 1 and horizon > 0")
+    _check_integer("dim", dim, 1)
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"need finite horizon > 0, got {horizon}")
     if c is None:
         c = 1.0 / dim
-    if c < 0 or beta < 0 or gamma < 0:
-        raise ValueError("need c, beta, gamma >= 0")
+    if not all(0 <= v < math.inf for v in (c, beta, gamma)):
+        raise ValueError(f"need finite c, beta, gamma >= 0, got {c}, {beta}, {gamma}")
     d, T, c, beta, gamma = int(dim), float(horizon), float(c), float(beta), float(gamma)
     kappa = 0.5 * d * c * c
 

@@ -119,7 +119,7 @@ def derive_key(parent: Sequence[int], extension: Sequence[int]) -> MultiIndex:
 def _paths_numpy(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -> np.ndarray:
     """Reference for ``_bits.brownian_paths``: bits, ndtri, scaling and sum as numpy passes."""
     B, Q = scales.shape
-    z = ndtri(uniforms_from_states(h0, h1, Q * d, force_numpy=True)).reshape(-1, B, Q, d)
+    z = ndtri(uniforms_from_states(h0, h1, Q * d)).reshape(-1, B, Q, d)
     return np.cumsum(z * scales[:, :, None], axis=2).reshape(np.shape(h0) + (Q * d,))
 
 

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import mlpicard.mlp_core as mlp_core
 import mlpicard.quadrature as quadrature
 from mlpicard.cli import COLUMNS, main
 from mlpicard.selfcheck import available_checks, run_selfcheck
@@ -69,6 +70,20 @@ def test_wall_time_is_the_only_unstable_field(tmp_path):
         for column in COLUMNS:
             if column != "wall_ms":
                 assert ra[column] == rb[column]
+
+
+def test_reference_csvs_do_not_depend_on_lane_chunks(tmp_path, monkeypatch):
+    # caps that run the top level in chunks of 1, 7 and 64 lanes, and the default
+    default = mlp_core._LANE_CAP
+    heat = ["--problem", "heat_quadratic", "--dim", "10", "--level", "3,3,3", "--threads", "2", "--x", "random-in-box"]
+    for args, block in ((["--diagonal", "3", "--seed", "701"], 3**3 * 3 * 2), ([*heat, "--seed", "9"], 3**3 * 3 * 10)):
+        outputs = []
+        for cap in (default, block, 7 * block, 64 * block):
+            monkeypatch.setattr(mlp_core, "_LANE_CAP", cap)
+            out = tmp_path / "table.csv"
+            assert main(["converge", *args, "--reproducible", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs == outputs[:1] * 4
 
 
 def test_json_mirrors_csv(tmp_path):
@@ -162,6 +177,8 @@ def test_config_errors_exit_2(tmp_path):
     assert main(converge_args(out, "--param", "horizon=0")) == 2
     assert main(converge_args(out, "--x", "1,nan")) == 2
     assert main(converge_args(out, "--level", "3,3,70")) == 2  # Q above 64
+    assert main(converge_args(out, "--param", "c=nan")) == 2
+    assert main(converge_args(out, "--problem", "heat_quadratic", "--param", "box_radius=inf")) == 2
     assert not out.exists()
 
 
@@ -173,6 +190,7 @@ def test_bad_level_fails_before_any_sampling(tmp_path, monkeypatch):
     out = tmp_path / "x.csv"
     assert main(converge_args(out, "--level", "3,3,70")) == 2
     assert main(converge_args(out, "--level", "7,2,2")) == 4
+    assert main(converge_args(out, "--param", "c=nan")) == 2
     assert not out.exists()
 
 

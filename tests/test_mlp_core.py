@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -184,6 +187,100 @@ def test_compiled_kernel_and_numpy_fallback_give_identical_outputs(monkeypatch):
         assert ca == cb
 
 
+def test_lane_chunks_do_not_change_outputs(monkeypatch):
+    # caps that force chunks of 1, 7 and 64 lanes, and the default cap, at
+    # 1, 2 and 3 threads; the residual's left-hand side runs on one thread
+    def study(problem, n, M, Q, s, reps):
+        def run(threads):
+            counters = CostCounters()
+            x = np.linspace(-0.4, 0.3, problem.dim)
+            report = mc_l2_error(problem, n, M, Q, s, x, reps, seed=23, key=(2,), threads=threads, counters=counters)
+            return report.estimates, vars(counters)
+
+        return M**n * Q * problem.dim, run
+
+    def residual(threads):
+        res = discrete_fk_residual(manufactured_sine(1), 2, 3, 2, 0.25, np.full(1, 0.2), 50, seed=4)
+        return np.concatenate([res.residual, res.radius]), {}
+
+    default = mlp_core._LANE_CAP
+    cases = [study(manufactured_sine(2), 3, 2, 3, 0.25, 130), study(heat_quadratic(3, 1.0), 2, 3, 2, 0.0, 23)]
+    for block, run in cases + [(3**2 * 2 * 1, residual)]:
+        outputs = []
+        for cap in (default, block, 7 * block, 64 * block):
+            monkeypatch.setattr(mlp_core, "_LANE_CAP", cap)
+            outputs += [run(threads) for threads in (1, 2, 3)]
+        for estimates, counters in outputs[1:]:
+            assert np.array_equal(estimates, outputs[0][0])
+            assert counters == outputs[0][1]
+
+
+def _record_chunks(monkeypatch):
+    """Record (rep_lo, rep_hi) of every ``_replication_batch`` call, which returns zeros instead of estimates."""
+    chunks = []
+
+    def record(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, counters):
+        chunks.append((rep_lo, rep_hi))
+        return np.zeros((rep_hi - rep_lo, problem.dim + 1))
+
+    monkeypatch.setattr(mlp_core, "_replication_batch", record)
+    return chunks
+
+
+def test_lane_planner_chunks(monkeypatch):
+    chunks = _record_chunks(monkeypatch)
+    for dim, n, M, Q in ((2, 4, 4, 4), (10, 4, 4, 4), (1, 1, 1, 1), (3, 5, 5, 5)):
+        problem = manufactured_sine(dim)
+        block = M**n * Q * dim
+        for reps in (2, 3, 64, 1000, 4097):
+            for threads in (1, 2, 3, 8):
+                chunks.clear()
+                mc_l2_error(problem, n, M, Q, 0.0, np.zeros(dim), reps, threads=threads)
+                chunks.sort()
+                assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+                assert chunks[-1][1] == reps
+                assert all(lo < hi and ((hi - lo) * block <= mlp_core._LANE_CAP or hi - lo == 1) for lo, hi in chunks)
+                assert len(chunks) >= min(threads, reps)
+    # the benchmark studies keep their plans: sine d=2 and heat d=10 at n=M=Q=4
+    chunks.clear()
+    mc_l2_error(manufactured_sine(2), 4, 4, 4, 0.0, np.zeros(2), 64, threads=1)
+    assert chunks == [(0, 64)]
+    chunks.clear()
+    mc_l2_error(heat_quadratic(10, 1.0), 4, 4, 4, 0.0, np.zeros(10), 32, threads=2)
+    assert sorted(chunks) == [(0, 16), (16, 32)]
+
+
+def test_study_memory_is_bounded_by_one_chunk():
+    # heat d=10 at n=1, M=1000, Q=4 has a top block of 40,000 Gaussians per
+    # replication, so 200 replications as one batch add well over 100 MB
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        import numpy as np
+        from mlpicard import mlp_core
+        from mlpicard.problems import heat_quadratic
+
+        mlp_core._LANE_CAP = int(sys.argv[1])
+        problem = heat_quadratic(10, 1.0)
+        base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        mlp_core.mc_l2_error(problem, 1, 1000, 4, 0.0, np.zeros(10), 200, seed=3)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)
+        """
+    )
+
+    # an exec'd process's ru_maxrss starts at the peak of the image it
+    # replaced, so the study runs as a grandchild of a small launcher, not
+    # as a child of this test process
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+    def added_mb(cap):
+        cmd = [sys.executable, "-c", launcher, sys.executable, "-c", script, str(cap)]
+        return float(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
+
+    assert added_mb(10**12) >= 100.0  # one batch
+    assert added_mb(mlp_core._LANE_CAP) <= 25.0
+
+
 def _trace_calls(monkeypatch):
     """Record the block B * M^n * Q * d of every ``_mlp_batch`` call."""
     calls = []
@@ -261,6 +358,12 @@ def test_mc_l2_error_requires_exact_and_replications():
         mc_l2_error(problem, 1, 2, 2, 0.0, np.zeros(2), 10, seed=0)
     with pytest.raises(ValueError):
         mc_l2_error(heat_quadratic(2, 1.0), 1, 2, 2, 0.0, np.zeros(2), 1, seed=0)
+    for reps, threads, name in ((2.5, 1, "replications"), (True, 1, "replications"), (10, True, "threads"), (10, 2.0, "threads")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            mc_l2_error(heat_quadratic(2, 1.0), 1, 2, 2, 0.0, np.zeros(2), reps, seed=0, threads=threads)
+    numpy_ints = mc_l2_error(heat_quadratic(2, 1.0), np.int64(1), np.int32(2), np.int64(2), 0.0, np.zeros(2), np.int64(4), threads=np.int64(2))
+    python_ints = mc_l2_error(heat_quadratic(2, 1.0), 1, 2, 2, 0.0, np.zeros(2), 4)
+    assert np.array_equal(numpy_ints.estimates, python_ints.estimates)
 
 
 def test_budget_guards():
@@ -276,6 +379,9 @@ def test_budget_guards():
         mlp_estimate(problem, -1, 2, 2, x=x)
     with pytest.raises(ValueError):
         mlp_estimate(problem, 2, 0, 2, x=x)
+    for n, M, Q, name in ((2.5, 2, 2, "n"), (True, 2, 2, "n"), (2, 2.0, 2, "M"), (2, 2, "2", "Q"), (2, 2, False, "Q")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            mlp_estimate(problem, n, M, Q, x=x)
 
 
 def test_domain_validation():
@@ -288,6 +394,9 @@ def test_domain_validation():
         mlp_estimate(problem, 1, 2, 2, s=0.0, x=np.zeros(3))
     with pytest.raises(ValueError):
         mlp_estimate(problem, 1, 2, 2, s=0.0, x=np.array([np.nan, 0.0]))
+    for s in (None, "0.5", np.zeros(1), 0.5j):
+        with pytest.raises(ValueError, match="^need a real s"):
+            mlp_estimate(problem, 1, 2, 2, s=s, x=np.zeros(2))
 
 
 def test_non_finite_terminal_raises():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mlpicard.mlp_core import Problem
 from mlpicard.problems import (
     PROBLEMS,
     build_problem,
@@ -141,3 +142,21 @@ def test_builder_validation():
         manufactured_sine(2, horizon=-1.0)
     with pytest.raises(ValueError):
         manufactured_sine(2, beta=-0.5)
+    for dim in (2.5, 2.0, True):  # 2.5 used to build d = 2 silently
+        for builder in (manufactured_sine, heat_quadratic):
+            with pytest.raises(ValueError, match="^dim must be an integer"):
+                builder(dim, 1.0)
+    for name in ("horizon", "c", "beta", "gamma"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^need finite .*{name}"):
+                manufactured_sine(2, **{name: value})
+    for name in ("horizon", "box_radius"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^need finite .*{name}"):
+                heat_quadratic(2, **{"horizon": 1.0, name: value})
+    assert heat_quadratic(np.int64(2), 1.0).dim == 2
+    kwargs = dict(horizon=1.0, terminal=None, nonlinearity=None, lip_f=np.zeros(3), lip_g=np.zeros(2))
+    for dim in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="^dim must be an integer"):
+            Problem(dim=dim, **kwargs)
+    assert Problem(dim=np.int64(2), **kwargs).dim == 2

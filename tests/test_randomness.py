@@ -187,10 +187,7 @@ def test_compiled_and_numpy_pipelines_agree():
     for shape in ((257,), (0,), (3, 5)):
         h0, h1 = _random_states(rng, shape)
         for n_vals in (1, 2, 3, 7, 8):
-            fast = uniforms_from_states(h0, h1, n_vals)
-            slow = uniforms_from_states(h0, h1, n_vals, force_numpy=True)
-            assert fast.shape == shape + (n_vals,)
-            assert np.array_equal(fast, slow)
+            assert uniforms_from_states(h0, h1, n_vals).shape == shape + (n_vals,)
     # fused paths against the numpy passes; the kernel works in chunks of
     # 512 values, so 511 / 513 / 1026 values straddle a chunk boundary
     for lanes, B, Q, d in ((0, 1, 2, 2), (3, 1, 3, 3), (511, 1, 1, 1), (171, 1, 3, 1), (513, 3, 1, 1),
@@ -198,12 +195,12 @@ def test_compiled_and_numpy_pipelines_agree():
         h0, h1 = _random_states(rng, (lanes,))
         for scales in (rng.uniform(0.1, 2.0, size=Q), rng.uniform(0.1, 2.0, size=(B, Q))):
             got = _standard_normals(h0, h1, Q * d, scales)
-            z = ndtri(_bits._uniforms_numpy(h0, h1, Q * d)).reshape(-1, scales.size // Q, Q, d)
+            z = ndtri(uniforms_from_states(h0, h1, Q * d)).reshape(-1, scales.size // Q, Q, d)
             want = np.cumsum(z * scales.reshape(-1, Q)[:, :, None], axis=2).reshape(lanes, Q * d)
             assert got.shape == (lanes, Q * d)
             assert np.array_equal(got, want), (lanes, B, Q, d, scales.shape)
     h0, h1 = _random_states(rng, (4, 3))
-    assert np.array_equal(_standard_normals(h0, h1, 5), ndtri(_bits._uniforms_numpy(h0.ravel(), h1.ravel(), 5)).reshape(4, 3, 5))
+    assert np.array_equal(_standard_normals(h0, h1, 5), ndtri(uniforms_from_states(h0, h1, 5)))
 
 
 def test_word_to_double_map_stays_below_one():
@@ -279,16 +276,12 @@ def test_kernel_build_failure_falls_back_to_numpy(tmp_path, monkeypatch):
     labels = np.arange(-3, 3)[:, None, None]
     scales = rng.uniform(0.1, 1.0, size=(3, 2))
     expected = (
-        uniforms_from_states(h0, h1, 5, force_numpy=True),
-        uniforms_from_states(h0, h1, 5),
         _standard_normals(h0, h1, 6, scales),
         _standard_normals(h0, h1, 3),
         *_extend_state(h0, h1, 2, labels),
     )
     monkeypatch.setattr(_bits, "_KERNEL", None)
     fallback = (
-        uniforms_from_states(h0, h1, 5),
-        uniforms_from_states(h0, h1, 5),
         _standard_normals(h0, h1, 6, scales),
         _standard_normals(h0, h1, 3),
         *_extend_state(h0, h1, 2, labels),
