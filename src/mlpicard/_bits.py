@@ -11,18 +11,26 @@ sampler reproducible under batching and threading.
 One C source, compiled at import by the system ``cc`` into
 ``__pycache__`` (later imports load the cached library), holds the hot
 loops; ``ctypes`` releases the GIL around each call, so replication
-threads overlap.  It fuses the whole Gaussian path draw into one pass
-over chunks of a few hundred values: Philox bits, then the inverse
-normal CDF -- a port of cephes ``ndtri`` (Moshier), which scipy runs,
-evaluated in two passes: the branch-free central rational for every
-value, then the two tail branches for the values beyond exp(-2) -- then
-the per-node scaling and the running sum over nodes.  It also derives
-key states (the SplitMix64 absorb chain of :mod:`mlpicard.randomness`)
-for a whole outer product of states and labels in one call.  Built with
-``-ffp-contract=off``, so no fused multiply-add changes a rounding,
-every result is bit-identical to the numpy/scipy reference, which runs
-instead when there is no compiler or no writable cache, and which the
-tests compare against.
+threads overlap.  It fuses the whole Gaussian path draw into passes over
+chunks of 512 values: the Philox blocks of the chunk's lane segments in
+one counted loop into a word buffer, the words to doubles, then the
+inverse normal CDF -- a port of cephes ``ndtri`` (Moshier), which scipy
+runs, evaluated as passes over arrays: the central rational for every
+value, then the tail values (beyond exp(-2)) gathered and run through
+``log``, ``sqrt``, ``log`` and the tail rationals -- and last the
+per-node scaling and the running sum over nodes.  That driver is built
+once per instruction set with GCC's ``target_clones`` (``avx512f``,
+``avx2`` and ``default``) and the loader runs the first one the CPU
+supports; ``kernel_isa`` names it.  A compiler or libc without the
+attribute builds the default only.  The kernel also derives key states
+(the SplitMix64 absorb chain of :mod:`mlpicard.randomness`) for a whole
+outer product of states and labels in one call, and sums the estimator's
+node samples of f and f * dW over the sample axis in numpy's order.
+Every clone is built with ``-ffp-contract=off``, no fast-math and the
+scalar libm ``log``, so no fused multiply-add or vector approximation
+changes a rounding: every result is bit-identical to the numpy/scipy
+reference, which runs instead when there is no compiler or no writable
+cache, and which the tests compare against.
 """
 
 from __future__ import annotations
@@ -109,37 +117,53 @@ _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
-static void philox(uint64_t h0, uint64_t h1, uint64_t pos, uint64_t w[2])
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+
+/* the clone that the loader's resolver picks: the first in CLONES the CPU supports */
+#ifdef CLONES
+const char *kernel_isa(void)
 {
-    uint32_t c0 = (uint32_t)pos, c1 = (uint32_t)(pos >> 32), c2 = (uint32_t)h1, c3 = (uint32_t)(h1 >> 32);
-    uint32_t k0 = (uint32_t)h0, k1 = (uint32_t)(h0 >> 32);
-    for (int r = 0; r < 10; r++, k0 += 0x9E3779B9u, k1 += 0xBB67AE85u) {
-        uint64_t p0 = (uint64_t)0xD2511F53u * c0, p1 = (uint64_t)0xCD9E8D57u * c2;
-        c0 = (uint32_t)(p1 >> 32) ^ c1 ^ k0, c1 = (uint32_t)p1;
-        c2 = (uint32_t)(p0 >> 32) ^ c3 ^ k1, c3 = (uint32_t)p0;
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") ? "avx512f" : __builtin_cpu_supports("avx2") ? "avx2" : "default";
+}
+#else
+#define CLONES
+const char *kernel_isa(void) { return "default"; }
+#endif
+
+#ifdef __GNUC__
+#define INLINE static inline __attribute__((always_inline))
+#else
+#define INLINE static inline
+#endif
+
+enum { CHUNK = 512 };
+
+/* words 2j and 2j + 1 of w are block ctr[j] of the lane keyed (h0[j], h1[j]), j < n */
+INLINE void philox_blocks(const uint64_t *h0, const uint64_t *h1, const uint64_t *ctr, int64_t n, uint64_t *w)
+{
+    for (int64_t j = 0; j < n; j++) {
+        uint32_t c0 = (uint32_t)ctr[j], c1 = (uint32_t)(ctr[j] >> 32), c2 = (uint32_t)h1[j], c3 = (uint32_t)(h1[j] >> 32);
+        uint32_t k0 = (uint32_t)h0[j], k1 = (uint32_t)(h0[j] >> 32);
+        for (int r = 0; r < 10; r++, k0 += 0x9E3779B9u, k1 += 0xBB67AE85u) {
+            uint64_t p0 = (uint64_t)0xD2511F53u * c0, p1 = (uint64_t)0xCD9E8D57u * c2;
+            c0 = (uint32_t)(p1 >> 32) ^ c1 ^ k0, c1 = (uint32_t)p1;
+            c2 = (uint32_t)(p0 >> 32) ^ c3 ^ k1, c3 = (uint32_t)p0;
+        }
+        w[2 * j] = ((uint64_t)c0 << 32) | c1, w[2 * j + 1] = ((uint64_t)c2 << 32) | c3;
     }
-    w[0] = ((uint64_t)c0 << 32) | c1, w[1] = ((uint64_t)c2 << 32) | c3;
 }
 
-static double unit(uint64_t w)
+/* the top 53 bits as a double in (0, 1), converted exactly as two 32-bit halves,
+   which vectorize where a 64-bit integer conversion does not */
+INLINE double unit(uint64_t w)
 {
-    double u = ((double)(w >> 11) + 0.5) * 0x1p-53;
+    double u = ((double)(int32_t)(w >> 43) * 0x1p32 + ((double)(int32_t)((uint32_t)(w >> 11) ^ 0x80000000u) + 0x1p31) + 0.5) * 0x1p-53;
     return u < 1.0 ? u : 1.0 - 0x1p-53;
-}
-
-/* uniforms at flat positions start..start+n of lanes holding n_vals each */
-static void fill_units(const uint64_t *h0, const uint64_t *h1, int64_t n_vals, int64_t start, int64_t n, double *u)
-{
-    int64_t lane = start / n_vals, p = start % n_vals;
-    uint64_t w[2];
-    for (int64_t i = 0; i < n;) {
-        philox(h0[lane], h1[lane], (uint64_t)p / 2, w);
-        u[i++] = unit(w[p & 1]);
-        if (++p < n_vals && (p & 1) && i < n)
-            u[i++] = unit(w[1]), p++;
-        if (p == n_vals)
-            lane++, p = 0;
-    }
 }
 
 void units_from_words(const uint64_t *w, int64_t n, double *out)
@@ -167,7 +191,7 @@ static const double Q2[8] = {6.02427039364742014255E0, 3.67983563856160859403E0,
                              2.89247864745380683936E-6, 6.79019408009981274425E-9};
 static const double S2PI = 2.50662827463100050242E0, EXPM2 = 0.13533528323661269189;
 
-static double polevl(double x, const double *c, int n)
+INLINE double polevl(double x, const double *c, int n)
 {
     double a = *c++;
     while (n--)
@@ -175,7 +199,7 @@ static double polevl(double x, const double *c, int n)
     return a;
 }
 
-static double p1evl(double x, const double *c, int n)
+INLINE double p1evl(double x, const double *c, int n)
 {
     double a = x + *c++;
     while (--n)
@@ -183,54 +207,80 @@ static double p1evl(double x, const double *c, int n)
     return a;
 }
 
-static double central(double y)
+INLINE double central(double y)
 {
     y = y - 0.5;
     double y2 = y * y;
     return (y + y * (y2 * polevl(y2, P0, 4) / p1evl(y2, Q0, 8))) * S2PI;
 }
 
-static double ndtri(double y)
+/* z = ndtri(u) for n <= CHUNK values, cephes' branches as passes over arrays:
+   the central rational for every value; the tail values (u <= exp(-2), or 1 - u
+   for u > 1 - exp(-2)) gathered with their places and signs; then log, sqrt,
+   log and the tail rationals, each over all gathered values.  A u of 0 or 1
+   gives an infinity, one outside [0, 1] NaN, as cephes' early returns do. */
+INLINE void ndtri_chunk(const double *u, int64_t n, double *z)
 {
-    if (y == 0.0)
-        return -INFINITY;
-    if (y == 1.0)
-        return INFINITY;
-    if (y < 0.0 || y > 1.0)
-        return NAN;
-    int upper = y > 1.0 - EXPM2;
-    if (upper)
-        y = 1.0 - y;
-    if (y > EXPM2)
-        return central(y);
-    double x = sqrt(-2.0 * log(y)), z = 1.0 / x;
-    double x1 = x < 8.0 ? z * polevl(z, P1, 8) / p1evl(z, Q1, 8) : z * polevl(z, P2, 8) / p1evl(z, Q2, 8);
-    x = x - log(x) / x - x1;
-    return upper ? x : -x;
-}
-
-/* the central rational for every value, then the full function where u is in a tail */
-void ndtri_array(const double *u, int64_t n, double *z)
-{
+    double y[CHUNK], x[CHUNK], l[CHUNK];
+    int64_t at[CHUNK], tail[CHUNK], m = 0;
     for (int64_t i = 0; i < n; i++)
         z[i] = central(u[i]);
     for (int64_t i = 0; i < n; i++)
-        if (!(u[i] > EXPM2 && u[i] <= 1.0 - EXPM2))
-            z[i] = ndtri(u[i]);
+        tail[i] = !((u[i] > EXPM2) & (u[i] <= 1.0 - EXPM2));
+    for (int64_t i = 0; i < n; i++)
+        at[m] = i, m += tail[i];
+    for (int64_t j = 0; j < m; j++) {
+        int upper = u[at[j]] > 1.0 - EXPM2;
+        y[j] = upper ? 1.0 - u[at[j]] : u[at[j]], at[j] = upper ? at[j] : ~at[j];
+    }
+    for (int64_t j = 0; j < m; j++)
+        l[j] = log(y[j]);
+    for (int64_t j = 0; j < m; j++)
+        x[j] = sqrt(-2.0 * l[j]);
+    for (int64_t j = 0; j < m; j++)
+        l[j] = log(x[j]);
+    for (int64_t j = 0; j < m; j++) {
+        double r = 1.0 / x[j];
+        r = x[j] < 8.0 ? r * polevl(r, P1, 8) / p1evl(r, Q1, 8) : r * polevl(r, P2, 8) / p1evl(r, Q2, 8);
+        r = y[j] == 0.0 ? INFINITY : x[j] - l[j] / x[j] - r;
+        z[at[j] < 0 ? ~at[j] : at[j]] = y[j] < 0.0 ? NAN : at[j] < 0 ? -r : r;
+    }
 }
 
-/* out[lane, k, c] = sum over j <= k of ndtri(u[lane, j * d + c]) * scales[lane % B, j] */
-void brownian_paths(const uint64_t *h0, const uint64_t *h1, int64_t lanes, int64_t Q, int64_t d,
-                    const double *scales, int64_t B, double *out)
+CLONES void ndtri_array(const double *u, int64_t n, double *z)
 {
-    enum { CHUNK = 512 };
+    for (int64_t start = 0; start < n; start += CHUNK)
+        ndtri_chunk(u + start, n - start < CHUNK ? n - start : CHUNK, z + start);
+}
+
+/* out[lane, k, c] = sum over j <= k of ndtri(u[lane, j * d + c]) * scales[lane % B, j]; per chunk of
+   CHUNK values: the Philox blocks of the chunk's lane segments in one loop, their words to uniforms,
+   ndtri, then the scaling and the running sum */
+CLONES void brownian_paths(const uint64_t *h0, const uint64_t *h1, int64_t lanes, int64_t Q, int64_t d,
+                           const double *scales, int64_t B, double *out)
+{
+    /* every block holds a value of the chunk, so a chunk has at most CHUNK blocks */
+    uint64_t key0[CHUNK], key1[CHUNK], ctr[CHUNK], words[2 * CHUNK];
     double u[CHUNK];
-    int64_t total = lanes * Q * d, b = 0, k = 0, c = 0;
+    int64_t n_vals = Q * d, total = lanes * n_vals, b = 0, k = 0, c = 0;
     for (int64_t start = 0; start < total; start += CHUNK) {
-        int64_t n = total - start < CHUNK ? total - start : CHUNK;
+        int64_t n = total - start < CHUNK ? total - start : CHUNK, nb = 0, len;
         double *z = out + start;
-        fill_units(h0, h1, Q * d, start, n, u);
-        ndtri_array(u, n, z);
+        /* the chunk holds value p.. of its first lane, then whole lanes, then a first part */
+        for (int64_t i = 0, lane = start / n_vals, p = start % n_vals; i < n; i += len, lane++, p = 0) {
+            len = n_vals - p < n - i ? n_vals - p : n - i;
+            for (int64_t blk = p / 2; blk < (p + len + 1) / 2; blk++)
+                key0[nb] = h0[lane], key1[nb] = h1[lane], ctr[nb++] = (uint64_t)blk;
+        }
+        philox_blocks(key0, key1, ctr, nb, words);
+        /* a segment's value p sits at word p % 2 of its first block */
+        for (int64_t i = 0, w = 0, p = start % n_vals; i < n; i += len, p = 0) {
+            len = n_vals - p < n - i ? n_vals - p : n - i;
+            for (int64_t j = 0; j < len; j++)
+                u[i + j] = unit(words[w + p % 2 + j]);
+            w += 2 * ((p + len + 1) / 2 - p / 2);
+        }
+        ndtri_chunk(u, n, z);
         for (int64_t i = 0; i < n; i++) {
             double v = z[i] * scales[b * Q + k];
             z[i] = k ? z[i - d] + v : v;
@@ -241,6 +291,30 @@ void brownian_paths(const uint64_t *h0, const uint64_t *h1, int64_t lanes, int64
             }
         }
     }
+}
+
+/* sf[b, j] = sum over i of f[i, b, j] and sfw[b, j, c] = sum over i of f[i, b, j] * dw[i, b, k0 + j, c],
+   for f of shape (m, B, g) and dw of shape (m, B, Q, d): added in order of i, starting from 0.0 as
+   numpy's reduction does when B (for sf) or B * d (for sfw) exceeds 1, and from the first term, as
+   its cumsum does, otherwise (-0.0 + v == v for every v) */
+void node_sums(const double *f, const double *dw, int64_t m, int64_t B, int64_t g, int64_t Q, int64_t d,
+               int64_t k0, double *sf, double *sfw)
+{
+    double zf = B > 1 ? 0.0 : -0.0, zw = B * d > 1 ? 0.0 : -0.0;
+    for (int64_t j = 0; j < B * g; j++)
+        sf[j] = zf;
+    for (int64_t j = 0; j < B * g * d; j++)
+        sfw[j] = zw;
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t b = 0; b < B; b++) {
+            const double *fi = f + (i * B + b) * g, *wi = dw + ((i * B + b) * Q + k0) * d;
+            double *sfb = sf + b * g, *swb = sfw + b * g * d;
+            for (int64_t j = 0; j < g; j++) {
+                sfb[j] += fi[j];
+                for (int64_t c = 0; c < d; c++)
+                    swb[j * d + c] += fi[j] * wi[j * d + c];
+            }
+        }
 }
 
 static uint64_t mix64(uint64_t z)
@@ -279,20 +353,22 @@ void extend_states(const uint64_t *h0, const uint64_t *h1, int64_t A, int64_t C,
 _CC_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _P, _I = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = {
+    "kernel_isa": (),
     "units_from_words": (_P, _I, _P),
     "ndtri_array": (_P, _I, _P),
     "brownian_paths": (_P, _P, _I, _I, _I, _P, _I, _P),
     "extend_states": (_P, _P, _I, _I, _P, _I, _I, _P),
+    "node_sums": (_P, _P, _I, _I, _I, _I, _I, _I, _P, _P),
 }
 
 
-def _load_kernel(cache_dir: str):
-    """The compiled library, built into ``cache_dir`` on first use.
+def _load_kernel(cache_dir: str, source: str = _C_SOURCE):
+    """The library compiled from ``source``, built into ``cache_dir`` on first use.
 
     Returns None when the compiler is missing or fails, or the directory
     cannot be written; the callers then use the numpy pipeline.
     """
-    tag = hashlib.sha256((_C_SOURCE + " ".join(_CC_FLAGS)).encode()).hexdigest()[:16]
+    tag = hashlib.sha256((source + " ".join(_CC_FLAGS)).encode()).hexdigest()[:16]
     path = os.path.join(cache_dir, f"_kernel-{tag}.so")
     try:
         if not os.path.exists(path):
@@ -303,7 +379,7 @@ def _load_kernel(cache_dir: str):
             os.close(fd)
             try:
                 cmd = ["cc", *_CC_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"]
-                subprocess.run(cmd, input=_C_SOURCE.encode(), capture_output=True, check=True, timeout=120)
+                subprocess.run(cmd, input=source.encode(), capture_output=True, check=True, timeout=120)
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
@@ -315,6 +391,7 @@ def _load_kernel(cache_dir: str):
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = None
+    lib.kernel_isa.restype = ctypes.c_char_p
     return lib
 
 
@@ -378,3 +455,16 @@ def extend_states(h0: np.ndarray, h1: np.ndarray, labels: tuple) -> tuple[np.nda
             _address(values), len(chain), last.size, _address(out),
         )
     return out[0], out[1]
+
+
+def node_sums(f: np.ndarray, dw: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Compiled sample sums of ``mlp_core._node_sums``: f (m, B, g), dw (m, B, Q, d) -> (B, g), (B, g, d)."""
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    dw = np.ascontiguousarray(dw, dtype=np.float64)
+    (m, B, g), (Q, d) = f.shape, dw.shape[2:]
+    if dw.shape[:2] != (m, B) or not 0 <= k0 <= Q - g:
+        raise ValueError(f"cannot sum f of shape {f.shape} against dw of shape {dw.shape} from node {k0}")
+    sf, sfw = np.empty((B, g)), np.empty((B, g, d))
+    if sf.size:
+        _KERNEL.node_sums(_address(f), _address(dw), m, B, g, Q, d, k0, _address(sf), _address(sfw))
+    return sf, sfw

@@ -43,10 +43,11 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import _bits
 from .analysis import cost_rn_exact
 from .errors import BudgetError, ConfigError, EvaluationError
 from .quadrature import GaussLegendreRule, build_rule
-from .randomness import _check_seed, _extend_state, _standard_normals, derive_key, state_for_key
+from .randomness import _check_integer, _check_seed, _extend_state, _standard_normals, derive_key, state_for_key
 
 __all__ = [
     "CostCounters",
@@ -72,12 +73,6 @@ DEFAULT_MAX_GAUSSIANS = 10**8
 # peaked the 64-replication sine d=2 study at 72 MB against 62 (+16%).
 _FOLD_CAP = 2**16
 _LANE_CAP = 2**18
-
-
-def _check_integer(name: str, value, low: int) -> None:
-    """Reject a bool, a non-integer, or an integer below ``low``, naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -258,10 +253,35 @@ def _sample_sum(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=0) if a[0].size > 1 else np.cumsum(a, axis=0)[-1]
 
 
+def _node_sums(f: np.ndarray, dw: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_sample_sum`` of f[:, :, j] and of f[:, :, j, None] * dw[:, :, k0 + j] for every j.
+
+    f has shape (m, B, g) and dw (m, B, Q, d); returns (B, g) and (B, g, d).
+    The compiled kernel adds in the same order, so both give the same bits.
+    """
+    if _bits._KERNEL is not None:
+        return _bits.node_sums(f, dw, k0)
+    js = range(f.shape[2])
+    sf = np.stack([_sample_sum(f[:, :, j]) for j in js], axis=1)
+    sfw = np.stack([_sample_sum(f[:, :, j, None] * dw[:, :, k0 + j]) for j in js], axis=1)
+    return sf, sfw
+
+
 def _lane_states(seed: int, key: Sequence[int], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """State words of the lanes keyed ``key + (r,)`` for r = lo..hi-1."""
     h0, h1 = state_for_key(seed, key)
     return _extend_state(h0, h1, np.arange(lo, hi, dtype=np.int64))
+
+
+def _child_estimates(problem, level, M, Q, rule, h0, h1, ranks, t, y, counters) -> np.ndarray:
+    """Level-``level`` estimates at (t, y) keyed (prefix, rank) for prefix states h0/h1 of shape (m, B).
+
+    A level-0 estimate is zero, so no key is derived and no call made.
+    """
+    if level == 0:
+        return np.zeros((y.shape[0], y.shape[1] + 1))
+    kh0, kh1 = _extend_state(h0[:, :, None], h1[:, :, None], ranks)
+    return _mlp_batch(problem, level, M, Q, rule, kh0.reshape(-1), kh1.reshape(-1), t, y, counters)
 
 
 def _mlp_batch(
@@ -304,9 +324,9 @@ def _mlp_batch(
     counters.gaussians_drawn += m * B * d
     gy = _evaluate(problem.terminal, "terminal", m * B, (x[None, :, :] + dw).reshape(m * B, d)).reshape(m, B)
     counters.g_evals += m * B
-    diff = gy - gx[None, :]
-    out[:, 0] += _sample_sum(diff) / m
-    out[:, 1:] += _sample_sum(diff[:, :, None] * dw) / (m * span)[..., None]
+    sf, sfw = _node_sums((gy - gx[None, :])[:, :, None], dw[:, :, None, :], 0)
+    out[:, 0] += sf[:, 0] / m
+    out[:, 1:] += sfw[:, 0] / (m * span)[..., None]
 
     nodes = s[..., None] + rule.nodes * span[..., None]  # (Q,) or (B, Q)
     weights = rule.weights * span[..., None]
@@ -314,6 +334,8 @@ def _mlp_batch(
     # every descendant's block of B * M^n * Q * d Gaussians grows by the
     # group size, so groups stop at the cap
     group = max(1, min(Q, _FOLD_CAP // (B * M**n * Q * d)))
+    # x repeated over a group's nodes, so y = x + dW adds along whole rows
+    xg = np.ascontiguousarray(np.broadcast_to(x[:, None, :], (B, group, d)))
 
     for level in range(n):
         m = M ** (n - level)
@@ -321,35 +343,32 @@ def _mlp_batch(
         ph0, ph1 = _extend_state(h0, h1, level, labels)  # (m, B): path keys (key, level, i)
         dw_nodes = _standard_normals(ph0, ph1, Q * d, sqrt_dts).reshape(m, B, Q, d)
         counters.gaussians_drawn += m * B * Q * d
-        if level >= 1:
-            nh0, nh1 = _extend_state(h0, h1, -level, labels)  # (m, B): prefix (key, -level, i)
+        # (m, B): prefix (key, -level, i) of the lower estimates, zero at level 1
+        nh0, nh1 = _extend_state(h0, h1, -level, labels) if level >= 2 else (None, None)
         for k0 in range(0, Q, group):
             k1 = min(k0 + group, Q)
             lanes = m * B * (k1 - k0)
             ranks = np.arange(k0 + 1, k1 + 1, dtype=np.int64)
             t = nodes[..., k0:k1]
             t = t.item() if t.size == 1 else np.broadcast_to(t, (m, B, k1 - k0)).reshape(lanes)
-            y = (x[None, :, None, :] + dw_nodes[:, :, k0:k1, :]).reshape(lanes, d)
+            y = (xg[None, :, : k1 - k0] + dw_nodes[:, :, k0:k1, :]).reshape(lanes, d)
 
-            ah0, ah1 = _extend_state(ph0[:, :, None], ph1[:, :, None], ranks)  # keys (key, level, i, rank)
-            inner = _mlp_batch(problem, level, M, Q, rule, ah0.reshape(-1), ah1.reshape(-1), t, y, counters)
+            # keys (key, level, i, rank)
+            inner = _child_estimates(problem, level, M, Q, rule, ph0, ph1, ranks, t, y, counters)
             fv = _evaluate(problem.nonlinearity, "nonlinearity", lanes, t, y, inner[:, 0], inner[:, 1:])
             counters.f_evals += lanes
             if level >= 1:
-                bh0, bh1 = _extend_state(nh0[:, :, None], nh1[:, :, None], ranks)  # keys (key, -level, i, rank)
-                lo = _mlp_batch(problem, level - 1, M, Q, rule, bh0.reshape(-1), bh1.reshape(-1), t, y, counters)
+                # keys (key, -level, i, rank)
+                lo = _child_estimates(problem, level - 1, M, Q, rule, nh0, nh1, ranks, t, y, counters)
                 fv = fv - _evaluate(problem.nonlinearity, "nonlinearity", lanes, t, y, lo[:, 0], lo[:, 1:])
                 counters.f_evals += lanes
 
             # accumulate node by node in k order, as an unfolded call would
-            fv = fv.reshape(m, B, k1 - k0)
+            sf, sfw = _node_sums(fv.reshape(m, B, k1 - k0), dw_nodes, k0)
             for k in range(k0, k1):
-                fmat = fv[:, :, k - k0]
                 w_over_m = weights[..., k] / m
-                out[:, 0] += w_over_m * _sample_sum(fmat)
-                out[:, 1:] += (w_over_m / (nodes[..., k] - s))[..., None] * _sample_sum(
-                    fmat[:, :, None] * dw_nodes[:, :, k, :]
-                )
+                out[:, 0] += w_over_m * sf[:, k - k0]
+                out[:, 1:] += (w_over_m / (nodes[..., k] - s))[..., None] * sfw[:, k - k0]
     return out
 
 
@@ -422,6 +441,14 @@ def _replication_batch(
     return _mlp_batch(problem, n, M, Q, rule, rh0, rh1, s, xs, counters)
 
 
+def _chunk_bounds(replications: int, block: int, threads: int) -> list:
+    """Bounds of at least min(threads, replications) contiguous lane chunks of at most
+    max(1, _LANE_CAP // block) lanes each, for ``block`` Gaussians per lane."""
+    per_chunk = max(1, _LANE_CAP // block)
+    chunks = max(min(threads, replications), -(-replications // per_chunk))
+    return np.linspace(0, replications, chunks + 1).astype(int).tolist()
+
+
 def _run_replications(
     problem, n, M, Q, rule, seed, key, replications, s, x, counters, threads
 ) -> np.ndarray:
@@ -431,10 +458,8 @@ def _run_replications(
     max(1, _LANE_CAP // (M^n Q d)) lanes; a lane's result does not depend
     on its chunk, so neither chunking nor thread count changes any bit.
     """
-    per_chunk = max(1, _LANE_CAP // (M**n * Q * problem.dim))
-    chunks = max(min(threads, replications), -(-replications // per_chunk))
-    bounds = np.linspace(0, replications, chunks + 1).astype(int).tolist()
-    chunk_counters = [CostCounters() for _ in range(chunks)]
+    bounds = _chunk_bounds(replications, M**n * Q * problem.dim, threads)
+    chunk_counters = [CostCounters() for _ in bounds[1:]]
 
     def work(lo: int, hi: int, chunk_counter: CostCounters) -> np.ndarray:
         return _replication_batch(problem, n, M, Q, rule, seed, key, lo, hi, s, x, chunk_counter)
@@ -512,6 +537,39 @@ def mc_l2_error(
     )
 
 
+def _residual_rhs(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, counters) -> np.ndarray:
+    """Right-hand-side samples rep_lo..rep_hi-1 of ``discrete_fk_residual``, shape (rep_hi - rep_lo, d+1).
+
+    Sample r follows the path keyed ``key + (1, r)`` and runs its inner
+    level-(n-1) estimates under keys ``key + (2, r, rank)``.
+    """
+    d, R = problem.dim, rep_hi - rep_lo
+    span = problem.horizon - s
+    nodes = s + rule.nodes * span
+    times = np.append(nodes, problem.horizon)
+    rh0, rh1 = _lane_states(seed, (*key, 1), rep_lo, rep_hi)
+    dw = _standard_normals(rh0, rh1, (Q + 1) * d, np.sqrt(np.diff(times, prepend=s))).reshape(R, Q + 1, d)
+
+    rhs = np.zeros((R, d + 1))
+    dw_T = dw[:, Q, :]
+    g_t = _evaluate(problem.terminal, "terminal", R, x[None, :] + dw_T)
+    rhs[:, 0] = g_t
+    rhs[:, 1:] = g_t[:, None] * dw_T / span
+
+    ih0, ih1 = _lane_states(seed, (*key, 2), rep_lo, rep_hi)
+    ranks = np.arange(1, Q + 1, dtype=np.int64)
+    kh0, kh1 = _extend_state(ih0[:, None], ih1[:, None], ranks)  # (R, Q): keys (key, 2, r, rank)
+    t = np.broadcast_to(nodes, (R, Q)).reshape(R * Q)
+    y = (x[None, None, :] + dw[:, :Q, :]).reshape(R * Q, d)
+    inner = _mlp_batch(problem, n - 1, M, Q, rule, kh0.reshape(-1), kh1.reshape(-1), t, y, counters)
+    fv = _evaluate(problem.nonlinearity, "nonlinearity", R * Q, t, y, inner[:, 0], inner[:, 1:]).reshape(R, Q)
+    for k in range(Q):
+        w_k = float(rule.weights[k]) * span
+        rhs[:, 0] += w_k * fv[:, k]
+        rhs[:, 1:] += (w_k / (nodes[k] - s)) * fv[:, k, None] * dw[:, k, :]
+    return rhs
+
+
 def discrete_fk_residual(
     problem: Problem,
     n: int,
@@ -540,36 +598,19 @@ def discrete_fk_residual(
         raise ValueError(f"residual check guard: need M, Q <= 3 and d <= 3, got M={M}, Q={Q}, d={problem.dim}")
     x = check_request(problem, n, M, Q, s, x, seed, key, replications)
     d = problem.dim
-    T = problem.horizon
-    span = T - s
     R = replications
     rule = build_rule(Q)
     counters = CostCounters()
 
     lhs = _run_replications(problem, n, M, Q, rule, seed, (*key, 0), R, float(s), x, counters, threads=1)
 
-    rh0, rh1 = _lane_states(seed, (*key, 1), 0, R)
-    nodes = s + rule.nodes * span
-    times = np.append(nodes, T)
-    dw = _standard_normals(rh0, rh1, (Q + 1) * d, np.sqrt(np.diff(times, prepend=s))).reshape(R, Q + 1, d)
-
-    rhs = np.zeros((R, d + 1))
-    dw_T = dw[:, Q, :]
-    g_t = _evaluate(problem.terminal, "terminal", R, x[None, :] + dw_T)
-    rhs[:, 0] = g_t
-    rhs[:, 1:] = g_t[:, None] * dw_T / span
-
-    ih0, ih1 = _lane_states(seed, (*key, 2), 0, R)
-    ranks = np.arange(1, Q + 1, dtype=np.int64)
-    kh0, kh1 = _extend_state(ih0[:, None], ih1[:, None], ranks)  # (R, Q): keys (key, 2, r, rank)
-    t = np.broadcast_to(nodes, (R, Q)).reshape(R * Q)
-    y = (x[None, None, :] + dw[:, :Q, :]).reshape(R * Q, d)
-    inner = _mlp_batch(problem, n - 1, M, Q, rule, kh0.reshape(-1), kh1.reshape(-1), t, y, counters)
-    fv = _evaluate(problem.nonlinearity, "nonlinearity", R * Q, t, y, inner[:, 0], inner[:, 1:]).reshape(R, Q)
-    for k in range(Q):
-        w_k = float(rule.weights[k]) * span
-        rhs[:, 0] += w_k * fv[:, k]
-        rhs[:, 1:] += (w_k / (nodes[k] - s)) * fv[:, k, None] * dw[:, k, :]
+    # the right-hand side runs in lane chunks too: each lane makes a
+    # level-(n-1) call over Q lanes, a block of Q M^(n-1) Q d Gaussians
+    bounds = _chunk_bounds(R, Q * M ** (n - 1) * Q * d, 1)
+    rhs = np.concatenate(
+        [_residual_rhs(problem, n, M, Q, rule, seed, key, lo, hi, s, x, counters)
+         for lo, hi in zip(bounds[:-1], bounds[1:])]
+    )
 
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise EvaluationError("residual estimation produced non-finite values")

@@ -91,6 +91,12 @@ def _extend_state(h0: np.ndarray, h1: np.ndarray, *labels) -> tuple[np.ndarray, 
     return extend(h0, h1, labels)
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    """Reject a bool, a non-integer, or an integer below ``low``, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_seed(seed) -> None:
     """Reject a seed that is not an integer in [0, 2**64)."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK64:
@@ -183,8 +189,7 @@ def sample_path(seed: int, key: Sequence[int], dimension: int, start: float, tim
     PathIncrements
         Deterministic function of all arguments.
     """
-    if dimension < 1:
-        raise ValueError(f"need dimension >= 1, got {dimension}")
+    _check_integer("dimension", dimension, 1)
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")

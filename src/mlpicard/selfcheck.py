@@ -205,7 +205,8 @@ def _check_bit_kernel() -> tuple[bool, str]:
     _bits._KERNEL.ndtri_array(_bits._address(u), u.size, _bits._address(z))
     if not np.array_equal(z, ndtri(u)):
         return False, "ndtri differs from scipy.special.ndtri"
-    return True, "compiled kernel runs; paths, states and ndtri equal the numpy/scipy reference bitwise"
+    isa = _bits._KERNEL.kernel_isa().decode()
+    return True, f"compiled kernel runs ({isa} clone); paths, states and ndtri equal the numpy/scipy reference bitwise"
 
 
 def _check_problem_residuals() -> tuple[bool, str]:

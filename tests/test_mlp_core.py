@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -250,35 +251,65 @@ def test_lane_planner_chunks(monkeypatch):
     assert sorted(chunks) == [(0, 16), (16, 32)]
 
 
-def test_study_memory_is_bounded_by_one_chunk():
-    # heat d=10 at n=1, M=1000, Q=4 has a top block of 40,000 Gaussians per
-    # replication, so 200 replications as one batch add well over 100 MB
+def _added_mb(call: str, cap: int) -> float:
+    """Peak RSS in MB that ``call`` adds in a fresh process with ``_LANE_CAP`` = cap."""
     script = textwrap.dedent(
-        """
+        f"""
         import resource, sys
         import numpy as np
         from mlpicard import mlp_core
-        from mlpicard.problems import heat_quadratic
+        from mlpicard.problems import heat_quadratic, manufactured_sine
 
         mlp_core._LANE_CAP = int(sys.argv[1])
-        problem = heat_quadratic(10, 1.0)
         base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        mlp_core.mc_l2_error(problem, 1, 1000, 4, 0.0, np.zeros(10), 200, seed=3)
+        {call}
         print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)
         """
     )
-
     # an exec'd process's ru_maxrss starts at the peak of the image it
-    # replaced, so the study runs as a grandchild of a small launcher, not
+    # replaced, so the call runs as a grandchild of a small launcher, not
     # as a child of this test process
     launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    cmd = [sys.executable, "-c", launcher, sys.executable, "-c", script, str(cap)]
+    # the package this test imported, also when only pytest's path holds it
+    src = os.path.dirname(os.path.dirname(mlp_core.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return float(subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout)
 
-    def added_mb(cap):
-        cmd = [sys.executable, "-c", launcher, sys.executable, "-c", script, str(cap)]
-        return float(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
 
-    assert added_mb(10**12) >= 100.0  # one batch
-    assert added_mb(mlp_core._LANE_CAP) <= 25.0
+def test_study_memory_is_bounded_by_one_chunk():
+    # heat d=10 at n=1, M=1000, Q=4 has a top block of 40,000 Gaussians per
+    # replication, so 200 replications as one batch add well over 100 MB
+    call = "mlp_core.mc_l2_error(heat_quadratic(10, 1.0), 1, 1000, 4, 0.0, np.zeros(10), 200, seed=3)"
+    assert _added_mb(call, 10**12) >= 100.0  # one batch
+    assert _added_mb(call, mlp_core._LANE_CAP) <= 25.0
+
+
+def test_residual_memory_is_bounded_by_one_chunk():
+    # both sides of a sine d=3, n=2, M=Q=3 residual over 40,000 replications
+    # as one batch each add about 130 MB
+    call = "mlp_core.discrete_fk_residual(manufactured_sine(3), 2, 3, 3, 0.1, np.full(3, 0.2), 40_000, seed=9)"
+    assert _added_mb(call, 10**12) >= 100.0
+    assert _added_mb(call, mlp_core._LANE_CAP) <= 25.0
+
+
+def test_node_sums_match_sample_sum():
+    # the compiled sums add in _sample_sum's order, down to the sign of a zero
+    # sum: heat's f is zero, and 0.0 * dW is -0.0 where dW < 0
+    if _bits._KERNEL is None:
+        pytest.skip("no compiled kernel")
+    rng = np.random.default_rng(12)
+    for m, B, g, Q, d, k0 in ((7, 5, 3, 4, 2, 1), (1, 1, 1, 1, 1, 0), (9, 1, 1, 3, 4, 2), (5, 1, 2, 2, 1, 0),
+                              (1, 6, 2, 2, 3, 0), (16, 64, 4, 4, 10, 0), (3, 2, 1, 1, 1, 0)):
+        dw = rng.normal(size=(m, B, Q, d))
+        for f in (rng.normal(size=(m, B, g)), np.zeros((m, B, g)), -np.zeros((m, B, g))):
+            got = _bits.node_sums(f, dw, k0)
+            for j in range(g):
+                assert got[0][:, j].tobytes() == mlp_core._sample_sum(f[:, :, j]).tobytes(), (m, B, g, Q, d)
+                want = mlp_core._sample_sum(f[:, :, j, None] * dw[:, :, k0 + j])
+                assert got[1][:, j].tobytes() == want.tobytes(), (m, B, g, Q, d)
+    with pytest.raises(ValueError, match="cannot sum"):
+        _bits.node_sums(np.zeros((2, 3, 2)), np.zeros((2, 3, 2, 1)), 1)
 
 
 def _trace_calls(monkeypatch):
@@ -298,7 +329,7 @@ def test_node_fold_call_count_and_block_cap(monkeypatch):
     problem = manufactured_sine(2)
     calls = _trace_calls(monkeypatch)
     mlp_estimate(problem, 3, 3, 3, key=(1,), seed=2, x=np.zeros(2))
-    assert len(calls) == 12
+    assert len(calls) == 5  # levels 3, 2, 1, 1 and 2, 1, 1: level-0 estimates are zeros without a call
     assert max(calls) <= max(mlp_core._FOLD_CAP, calls[0])
     # a cap between the top block (162) and a full fold's deepest block
     # (4,374) stops folding part-way down the recursion

@@ -117,6 +117,10 @@ def test_sample_path_validation():
         sample_path(0, (), 1, 0.5, [0.4, 0.6])
     with pytest.raises(ValueError):
         sample_path(0, (), 1, 0.0, [float("nan")])
+    for dimension in (2.5, True, "2", 2.0, None):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            sample_path(0, (), dimension, 0.0, [1.0])
+    assert np.array_equal(sample_path(0, (), np.int64(2), 0.0, [1.0]).increments, sample_path(0, (), 2, 0.0, [1.0]).increments)
 
 
 def test_increment_variance_over_keys():
@@ -201,6 +205,34 @@ def test_compiled_and_numpy_pipelines_agree():
             assert np.array_equal(got, want), (lanes, B, Q, d, scales.shape)
     h0, h1 = _random_states(rng, (4, 3))
     assert np.array_equal(_standard_normals(h0, h1, 5), ndtri(uniforms_from_states(h0, h1, 5)))
+
+
+def test_default_build_matches_dispatched_clone(tmp_path, monkeypatch):
+    # the kernel built for the baseline ISA only must give the bits of the
+    # clone the loader picked for this CPU
+    _require_kernel()
+    attr = '#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))'
+    assert _bits._C_SOURCE.count(attr) == 1
+    default = _bits._load_kernel(str(tmp_path), _bits._C_SOURCE.replace(attr, ""))
+    assert default.kernel_isa() == b"default"
+    assert _bits._KERNEL.kernel_isa() in (b"avx512f", b"avx2", b"default")
+    rng = np.random.default_rng(31)
+    # (lanes, B, Q, d): the benchmark shapes, one-value lanes, odd Q * d, and
+    # 511 / 513 / 1026 values around the 512-value chunk
+    cases = [(16384, 16, 4, 10), (65536, 64, 4, 2), (700, 7, 1, 1), (301, 1, 3, 3), (5, 5, 1, 511),
+             (1, 1, 1, 511), (3, 3, 1, 513), (1, 1, 1, 1026), (2, 1, 2, 513), (4, 2, 3, 57)]
+    for lanes, B, Q, d in cases:
+        h0, h1 = _random_states(rng, (lanes,))
+        scales = rng.uniform(0.1, 2.0, size=(B, Q))
+        want = _bits.brownian_paths(h0, h1, d, scales)
+        monkeypatch.setattr(_bits, "_KERNEL", default)
+        got = _bits.brownian_paths(h0, h1, d, scales)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes(), (lanes, B, Q, d)
+    u = np.concatenate([[0.0, 1.0, 2.0**-54, 1.0 - 2.0**-53], rng.uniform(size=1000), np.exp(-rng.uniform(2, 700, 1000))])
+    z = np.empty_like(u)
+    default.ndtri_array(u.ctypes.data, u.size, z.ctypes.data)
+    assert z.tobytes() == _kernel_map("ndtri_array", u).tobytes()
 
 
 def test_word_to_double_map_stays_below_one():
