@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import _check_integer
+
 __all__ = [
     "BoundInputs",
     "binomial",
@@ -188,11 +190,16 @@ def bound_nnn(inputs: BoundInputs) -> float:
     return math.exp(log_bound_nnn(inputs))
 
 
-def _validate_cost_args(n: int, M: int, Q: int) -> None:
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if M < 1 or Q < 1:
-        raise ValueError(f"need M >= 1 and Q >= 1, got M={M}, Q={Q}")
+def _cost(n: int, M: int, Q: int, a: int, b: int) -> int:
+    """C(n) of C(0) = 0, C(n) = a M^n + sum_{l<n} Q M^(n-l) (a + C(l) + [l>=1] (b + C(l-1)))."""
+    for name, value, low in (("n", n, 0), ("M", M, 1), ("Q", Q, 1)):
+        _check_integer(name, value, low)
+    n, M, Q = int(n), int(M), int(Q)  # Python integers, so M^n cannot wrap
+    c = [0]
+    for m in range(1, n + 1):
+        terms = (Q * M ** (m - l) * (a + c[l] + (b + c[l - 1] if l else 0)) for l in range(m))
+        c.append(a * M**m + sum(terms))
+    return c[n]
 
 
 def cost_rn_exact(n: int, M: int, Q: int, d: int) -> int:
@@ -201,17 +208,8 @@ def cost_rn_exact(n: int, M: int, Q: int, d: int) -> int:
     Recursion: RN(0) = 0 and
     RN(n) = d M^n + sum_{l<n} Q M^(n-l) (d + RN(l) + [l>=1] RN(l-1)).
     """
-    _validate_cost_args(n, M, Q)
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    rn = [0]
-    for m in range(1, n + 1):
-        total = d * M**m
-        for l in range(m):
-            inner = d + rn[l] + (rn[l - 1] if l >= 1 else 0)
-            total += Q * M ** (m - l) * inner
-        rn.append(total)
-    return rn[n]
+    _check_integer("d", d, 1)
+    return _cost(n, M, Q, int(d), 0)
 
 
 def cost_fe_exact(n: int, M: int, Q: int) -> int:
@@ -220,12 +218,4 @@ def cost_fe_exact(n: int, M: int, Q: int) -> int:
     Recursion: FE(0) = 0 and
     FE(n) = M^n + sum_{l<n} Q M^(n-l) (1 + FE(l) + [l>=1] (1 + FE(l-1))).
     """
-    _validate_cost_args(n, M, Q)
-    fe = [0]
-    for m in range(1, n + 1):
-        total = M**m
-        for l in range(m):
-            inner = 1 + fe[l] + ((1 + fe[l - 1]) if l >= 1 else 0)
-            total += Q * M ** (m - l) * inner
-        fe.append(total)
-    return fe[n]
+    return _cost(n, M, Q, 1, 1)

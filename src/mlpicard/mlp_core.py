@@ -16,8 +16,10 @@ multiplied by the gradient weight (1, dW_t / (t - s)).  Every Monte
 Carlo sample owns a distinct multi-index key, so the whole tree of
 draws is reproducible and independent of scheduling.
 
-Replications run in lane chunks, so a study holds one chunk per thread
-in memory; results are bitwise independent of chunking and thread count.
+One lane planner, ``_run_replications``, runs every replication batch --
+the studies and both sides of the residual check -- in lane chunks, so
+a call holds one chunk per thread in memory; results are bitwise
+independent of chunking and thread count.
 
 All user functions are evaluated on batches: ``g(x)`` maps (L, d) to
 (L,), ``f(t, x, w, z)`` maps a time ``t`` -- a float, or an (L,) array
@@ -45,9 +47,9 @@ import numpy as np
 
 from . import _bits
 from .analysis import cost_rn_exact
-from .errors import BudgetError, ConfigError, EvaluationError
-from .quadrature import GaussLegendreRule, build_rule
-from .randomness import _check_integer, _check_seed, _extend_state, _standard_normals, derive_key, state_for_key
+from .errors import BudgetError, ConfigError, EvaluationError, _check_integer, _real_array
+from .quadrature import MAX_ORDER, GaussLegendreRule, build_rule
+from .randomness import _MASK64, _extend_state, _standard_normals, derive_key, state_for_key
 
 __all__ = [
     "CostCounters",
@@ -105,11 +107,12 @@ class Problem:
     name: str = ""
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        h = self.horizon
+        if isinstance(h, bool) or not (isinstance(h, numbers.Real) and math.isfinite(h) and h > 0.0):
+            raise ValueError(f"horizon must be positive and finite, got {h!r}")
         _check_integer("dim", self.dim, 1)
-        lip_f = np.asarray(self.lip_f, dtype=float)
-        lip_g = np.asarray(self.lip_g, dtype=float)
+        lip_f = _real_array("lip_f", self.lip_f)
+        lip_g = _real_array("lip_g", self.lip_g)
         if lip_f.shape != (self.dim + 1,):
             raise ValueError(f"lip_f must have shape ({self.dim + 1},), got {lip_f.shape}")
         if lip_g.shape != (self.dim,):
@@ -201,25 +204,25 @@ def check_request(
 ) -> np.ndarray:
     """Return x as a float array if the request is well formed and within budget.
 
-    ValueError: n, M, Q, replications or threads not an integer (a bool is
-    not one) of at least 0, 1, 1, 2 and 1, Q above 64, or a bad s, x, seed or key.
+    ValueError: n, M, Q, replications or threads not an integer of at least
+    0, 1, 1, 2 and 1, Q above 64, or a bad s, x, seed or key; a bool is
+    neither an integer nor a real s.
     BudgetError: n above ``max_level``, M^n above the sample cap, or
     ``cost_rn_exact`` Gaussians per estimate above ``max_gaussians``.
     """
-    for name, value, low in (("n", n, 0), ("M", M, 1), ("Q", Q, 1), ("threads", threads, 1)):
-        _check_integer(name, value, low)
+    for check in (("n", n, 0), ("M", M, 1), ("Q", Q, 1, MAX_ORDER), ("threads", threads, 1)):
+        _check_integer(*check)
     if replications is not None:
         _check_integer("replications", replications, 2)
     n, M, Q = int(n), int(M), int(Q)  # Python integers, so M^n cannot wrap
-    if not (isinstance(s, numbers.Real) and 0.0 <= s < problem.horizon):
+    if isinstance(s, bool) or not (isinstance(s, numbers.Real) and 0.0 <= s < problem.horizon):
         raise ValueError(f"need a real s with 0 <= s < horizon={problem.horizon}, got s={s!r}")
-    x = np.asarray(x, dtype=float)
+    x = _real_array("x", x)
     if x.shape != (problem.dim,):
         raise ValueError(f"x must have shape ({problem.dim},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    build_rule(Q)  # rejects orders above 64
-    _check_seed(seed)
+    _check_integer("seed", seed, 0, _MASK64)
     derive_key((), key)
     if n > max_level:
         raise BudgetError(f"level n={n} exceeds the configured maximum {max_level}")
@@ -233,11 +236,11 @@ def check_request(
     return x
 
 
-def _evaluate(fn: Callable, name: str, lanes: int, *args) -> np.ndarray:
-    """``fn(*args)`` as a float array, which must have shape (lanes,)."""
+def _evaluate(fn: Callable, name: str, shape: tuple, *args) -> np.ndarray:
+    """``fn(*args)`` as a float array, which must have the given shape."""
     out = np.asarray(fn(*args), dtype=float)
-    if out.shape != (lanes,):
-        raise ConfigError(f"problem.{name} returned shape {out.shape}, expected ({lanes},)")
+    if out.shape != shape:
+        raise ConfigError(f"problem.{name} returned shape {out.shape}, expected {shape}")
     return out
 
 
@@ -314,7 +317,7 @@ def _mlp_batch(
     out = np.zeros((B, d + 1))
 
     # center terminal value, shared by all samples of this call
-    gx = _evaluate(problem.terminal, "terminal", B, x)
+    gx = _evaluate(problem.terminal, "terminal", (B,), x)
     out[:, 0] = gx
 
     m = M**n
@@ -322,7 +325,7 @@ def _mlp_batch(
     th0, th1 = _extend_state(h0, h1, 0, -labels)  # (m, B): keys (key, 0, -i)
     dw = _standard_normals(th0, th1, d, np.sqrt(span)[..., None]).reshape(m, B, d)
     counters.gaussians_drawn += m * B * d
-    gy = _evaluate(problem.terminal, "terminal", m * B, (x[None, :, :] + dw).reshape(m * B, d)).reshape(m, B)
+    gy = _evaluate(problem.terminal, "terminal", (m * B,), (x[None, :, :] + dw).reshape(m * B, d)).reshape(m, B)
     counters.g_evals += m * B
     sf, sfw = _node_sums((gy - gx[None, :])[:, :, None], dw[:, :, None, :], 0)
     out[:, 0] += sf[:, 0] / m
@@ -355,12 +358,12 @@ def _mlp_batch(
 
             # keys (key, level, i, rank)
             inner = _child_estimates(problem, level, M, Q, rule, ph0, ph1, ranks, t, y, counters)
-            fv = _evaluate(problem.nonlinearity, "nonlinearity", lanes, t, y, inner[:, 0], inner[:, 1:])
+            fv = _evaluate(problem.nonlinearity, "nonlinearity", (lanes,), t, y, inner[:, 0], inner[:, 1:])
             counters.f_evals += lanes
             if level >= 1:
                 # keys (key, -level, i, rank)
                 lo = _child_estimates(problem, level - 1, M, Q, rule, nh0, nh1, ranks, t, y, counters)
-                fv = fv - _evaluate(problem.nonlinearity, "nonlinearity", lanes, t, y, lo[:, 0], lo[:, 1:])
+                fv = fv - _evaluate(problem.nonlinearity, "nonlinearity", (lanes,), t, y, lo[:, 0], lo[:, 1:])
                 counters.f_evals += lanes
 
             # accumulate node by node in k order, as an unfolded call would
@@ -441,29 +444,18 @@ def _replication_batch(
     return _mlp_batch(problem, n, M, Q, rule, rh0, rh1, s, xs, counters)
 
 
-def _chunk_bounds(replications: int, block: int, threads: int) -> list:
-    """Bounds of at least min(threads, replications) contiguous lane chunks of at most
-    max(1, _LANE_CAP // block) lanes each, for ``block`` Gaussians per lane."""
-    per_chunk = max(1, _LANE_CAP // block)
-    chunks = max(min(threads, replications), -(-replications // per_chunk))
-    return np.linspace(0, replications, chunks + 1).astype(int).tolist()
-
-
-def _run_replications(
-    problem, n, M, Q, rule, seed, key, replications, s, x, counters, threads
-) -> np.ndarray:
-    """Per-replication estimates from contiguous lane chunks run on ``threads`` threads.
+def _run_replications(work, replications: int, block: int, threads: int, counters: CostCounters) -> np.ndarray:
+    """``work(lo, hi, chunk_counters)``, the results of lanes lo..hi-1, over chunks of 0..replications, concatenated.
 
     At least min(threads, replications) chunks of at most
-    max(1, _LANE_CAP // (M^n Q d)) lanes; a lane's result does not depend
-    on its chunk, so neither chunking nor thread count changes any bit.
+    max(1, _LANE_CAP // block) lanes, for ``block`` Gaussians per lane, run
+    on ``threads`` threads; a lane's result does not depend on its chunk,
+    so neither chunking nor thread count changes any bit.
     """
-    bounds = _chunk_bounds(replications, M**n * Q * problem.dim, threads)
+    per_chunk = max(1, _LANE_CAP // block)
+    chunks = max(min(threads, replications), -(-replications // per_chunk))
+    bounds = np.linspace(0, replications, chunks + 1).astype(int).tolist()
     chunk_counters = [CostCounters() for _ in bounds[1:]]
-
-    def work(lo: int, hi: int, chunk_counter: CostCounters) -> np.ndarray:
-        return _replication_batch(problem, n, M, Q, rule, seed, key, lo, hi, s, x, chunk_counter)
-
     # one thread runs the chunks on the caller: on a pool worker, whose own
     # malloc arena this adds, the sine d=2 study's peak RSS rose 1-3 MB (2-4%)
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -512,11 +504,14 @@ def mc_l2_error(
     if counters is None:
         counters = CostCounters()
     rule = build_rule(Q)
-    estimates = _run_replications(problem, n, M, Q, rule, seed, key, replications, s, x, counters, threads)
+    estimates = _run_replications(
+        lambda lo, hi, c: _replication_batch(problem, n, M, Q, rule, seed, key, lo, hi, s, x, c),
+        replications, M**n * Q * problem.dim, threads, counters,
+    )
     if not np.all(np.isfinite(estimates)):
         raise EvaluationError("estimator produced non-finite components")
 
-    exact = np.asarray(problem.exact(float(s), x[None, :]), dtype=float).reshape(problem.dim + 1)
+    exact = _evaluate(problem.exact, "exact", (1, problem.dim + 1), float(s), x[None, :])[0]
     sq = (estimates - exact[None, :]) ** 2  # (R, d+1)
     R = replications
     totals = sq.sum(axis=0)
@@ -552,7 +547,7 @@ def _residual_rhs(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, count
 
     rhs = np.zeros((R, d + 1))
     dw_T = dw[:, Q, :]
-    g_t = _evaluate(problem.terminal, "terminal", R, x[None, :] + dw_T)
+    g_t = _evaluate(problem.terminal, "terminal", (R,), x[None, :] + dw_T)
     rhs[:, 0] = g_t
     rhs[:, 1:] = g_t[:, None] * dw_T / span
 
@@ -562,7 +557,7 @@ def _residual_rhs(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, count
     t = np.broadcast_to(nodes, (R, Q)).reshape(R * Q)
     y = (x[None, None, :] + dw[:, :Q, :]).reshape(R * Q, d)
     inner = _mlp_batch(problem, n - 1, M, Q, rule, kh0.reshape(-1), kh1.reshape(-1), t, y, counters)
-    fv = _evaluate(problem.nonlinearity, "nonlinearity", R * Q, t, y, inner[:, 0], inner[:, 1:]).reshape(R, Q)
+    fv = _evaluate(problem.nonlinearity, "nonlinearity", (R * Q,), t, y, inner[:, 0], inner[:, 1:]).reshape(R, Q)
     for k in range(Q):
         w_k = float(rule.weights[k]) * span
         rhs[:, 0] += w_k * fv[:, k]
@@ -592,24 +587,23 @@ def discrete_fk_residual(
 
     Restricted to small instances (d <= 3, n <= 2, M <= 3, Q <= 3).
     """
+    x = check_request(problem, n, M, Q, s, x, seed, key, replications)
     if not 1 <= n <= 2:
         raise ValueError(f"residual check supports 1 <= n <= 2, got {n}")
     if M > 3 or Q > 3 or problem.dim > 3:
         raise ValueError(f"residual check guard: need M, Q <= 3 and d <= 3, got M={M}, Q={Q}, d={problem.dim}")
-    x = check_request(problem, n, M, Q, s, x, seed, key, replications)
-    d = problem.dim
-    R = replications
+    d, R, s = problem.dim, replications, float(s)
     rule = build_rule(Q)
     counters = CostCounters()
 
-    lhs = _run_replications(problem, n, M, Q, rule, seed, (*key, 0), R, float(s), x, counters, threads=1)
-
-    # the right-hand side runs in lane chunks too: each lane makes a
-    # level-(n-1) call over Q lanes, a block of Q M^(n-1) Q d Gaussians
-    bounds = _chunk_bounds(R, Q * M ** (n - 1) * Q * d, 1)
-    rhs = np.concatenate(
-        [_residual_rhs(problem, n, M, Q, rule, seed, key, lo, hi, s, x, counters)
-         for lo, hi in zip(bounds[:-1], bounds[1:])]
+    lhs = _run_replications(
+        lambda lo, hi, c: _replication_batch(problem, n, M, Q, rule, seed, (*key, 0), lo, hi, s, x, c),
+        R, M**n * Q * d, 1, counters,
+    )
+    # each right-hand lane makes a level-(n-1) call over Q lanes, a block of Q M^(n-1) Q d Gaussians
+    rhs = _run_replications(
+        lambda lo, hi, c: _residual_rhs(problem, n, M, Q, rule, seed, key, lo, hi, s, x, c),
+        R, Q * M ** (n - 1) * Q * d, 1, counters,
     )
 
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):

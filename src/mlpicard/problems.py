@@ -15,8 +15,8 @@ from typing import Callable, Dict
 import numpy as np
 
 from .analysis import log_gamma
+from .errors import _check_integer
 from .mlp_core import Problem
-from .randomness import _check_integer
 
 __all__ = [
     "PROBLEMS",

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import log_gamma
-from .errors import EvaluationError
+from .errors import EvaluationError, _check_integer
 
 __all__ = [
     "GaussLegendreRule",
@@ -93,10 +93,7 @@ def build_rule(order: int) -> GaussLegendreRule:
     -------
     GaussLegendreRule
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    _check_integer("order", order, 1, MAX_ORDER)
     q = int(order)
 
     i = np.arange(1, q + 1, dtype=float)

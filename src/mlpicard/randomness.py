@@ -25,6 +25,8 @@ the path.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
@@ -33,6 +35,7 @@ from scipy.special import ndtri
 
 from . import _bits
 from ._bits import uniforms_from_states
+from .errors import _check_integer, _real_array
 
 __all__ = [
     "MultiIndex",
@@ -91,21 +94,9 @@ def _extend_state(h0: np.ndarray, h1: np.ndarray, *labels) -> tuple[np.ndarray, 
     return extend(h0, h1, labels)
 
 
-def _check_integer(name: str, value, low: int) -> None:
-    """Reject a bool, a non-integer, or an integer below ``low``, naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _check_seed(seed) -> None:
-    """Reject a seed that is not an integer in [0, 2**64)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-
-
 def state_for_key(seed: int, key: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     """Fold (seed, key) into shape-(1,) state words; integer seed in [0, 2**64), labels as in derive_key."""
-    _check_seed(seed)
+    _check_integer("seed", seed, 0, _MASK64)
     h0, h1 = _root_state(seed)
     labels = derive_key((), key)
     return _extend_state(h0, h1, *labels) if labels else (h0, h1)
@@ -115,10 +106,7 @@ def derive_key(parent: Sequence[int], extension: Sequence[int]) -> MultiIndex:
     """Child key: the parent's labels followed by the extension's labels."""
     out = tuple(parent) + tuple(extension)
     for label in out:
-        if not isinstance(label, (int, np.integer)) or isinstance(label, bool):
-            raise ValueError(f"multi-index labels must be integers, got {label!r}")
-        if not -(2**63) <= label < 2**63:
-            raise ValueError(f"multi-index labels must lie in [-2**63, 2**63), got {label}")
+        _check_integer("multi-index label", label, -(2**63), 2**63 - 1)
     return tuple(int(label) for label in out)
 
 
@@ -190,11 +178,13 @@ def sample_path(seed: int, key: Sequence[int], dimension: int, start: float, tim
         Deterministic function of all arguments.
     """
     _check_integer("dimension", dimension, 1)
-    t = np.asarray(times, dtype=float)
+    if isinstance(start, bool) or not (isinstance(start, numbers.Real) and math.isfinite(start)):
+        raise ValueError(f"start must be a finite real number, got {start!r}")
+    t = _real_array("times", times)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(t)) or not np.isfinite(start):
-        raise ValueError("start and times must be finite")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("times must be strictly increasing")
     if not t[0] > start:

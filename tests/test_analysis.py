@@ -197,3 +197,34 @@ def test_cost_guards():
         cost_rn_exact(1, 2, 2, 0)
     with pytest.raises(ValueError):
         cost_fe_exact(1, 2, 0)
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        cost_rn_exact(2.5, 2, 2, 1)
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        cost_fe_exact(True, 2, 2)
+
+
+def _two_loop_costs(n, M, Q, d):
+    """The two separate recursions the shared one replaced, kept as an oracle."""
+    rn = [0]
+    for m in range(1, n + 1):
+        total = d * M**m
+        for l in range(m):
+            inner = d + rn[l] + (rn[l - 1] if l >= 1 else 0)
+            total += Q * M ** (m - l) * inner
+        rn.append(total)
+    fe = [0]
+    for m in range(1, n + 1):
+        total = M**m
+        for l in range(m):
+            inner = 1 + fe[l] + ((1 + fe[l - 1]) if l >= 1 else 0)
+            total += Q * M ** (m - l) * inner
+        fe.append(total)
+    return rn[n], fe[n]
+
+
+def test_shared_cost_recursion_matches_the_two_loops():
+    for n in range(9):
+        for M in range(1, 7):
+            for Q in range(1, 7):
+                for d in (1, 2, 10):
+                    assert (cost_rn_exact(n, M, Q, d), cost_fe_exact(n, M, Q)) == _two_loop_costs(n, M, Q, d)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -228,6 +229,15 @@ def _record_chunks(monkeypatch):
     return chunks
 
 
+def _assert_plan(chunks, reps, block, threads):
+    """Contiguous non-empty chunks covering 0..reps, under the cap unless one lane, at least one per thread."""
+    chunks = sorted(chunks)
+    assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+    assert chunks[-1][1] == reps
+    assert all(lo < hi and ((hi - lo) * block <= mlp_core._LANE_CAP or hi - lo == 1) for lo, hi in chunks)
+    assert len(chunks) >= min(threads, reps)
+
+
 def test_lane_planner_chunks(monkeypatch):
     chunks = _record_chunks(monkeypatch)
     for dim, n, M, Q in ((2, 4, 4, 4), (10, 4, 4, 4), (1, 1, 1, 1), (3, 5, 5, 5)):
@@ -237,11 +247,7 @@ def test_lane_planner_chunks(monkeypatch):
             for threads in (1, 2, 3, 8):
                 chunks.clear()
                 mc_l2_error(problem, n, M, Q, 0.0, np.zeros(dim), reps, threads=threads)
-                chunks.sort()
-                assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
-                assert chunks[-1][1] == reps
-                assert all(lo < hi and ((hi - lo) * block <= mlp_core._LANE_CAP or hi - lo == 1) for lo, hi in chunks)
-                assert len(chunks) >= min(threads, reps)
+                _assert_plan(chunks, reps, block, threads)
     # the benchmark studies keep their plans: sine d=2 and heat d=10 at n=M=Q=4
     chunks.clear()
     mc_l2_error(manufactured_sine(2), 4, 4, 4, 0.0, np.zeros(2), 64, threads=1)
@@ -249,6 +255,25 @@ def test_lane_planner_chunks(monkeypatch):
     chunks.clear()
     mc_l2_error(heat_quadratic(10, 1.0), 4, 4, 4, 0.0, np.zeros(10), 32, threads=2)
     assert sorted(chunks) == [(0, 16), (16, 32)]
+    # both sides of the residual check: the right-hand side's lanes each make
+    # a level-(n-1) call over Q lanes, a block of Q M^(n-1) Q d Gaussians
+    rhs_chunks = []
+
+    def record_rhs(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, counters):
+        rhs_chunks.append((rep_lo, rep_hi))
+        return np.ones((rep_hi - rep_lo, problem.dim + 1))
+
+    monkeypatch.setattr(mlp_core, "_residual_rhs", record_rhs)
+    for cap in (mlp_core._LANE_CAP, 200):
+        monkeypatch.setattr(mlp_core, "_LANE_CAP", cap)
+        for dim, n, M, Q in ((1, 1, 1, 1), (2, 2, 2, 3), (3, 2, 3, 3)):
+            for reps in (2, 3, 1000, 40_000):
+                chunks.clear()
+                rhs_chunks.clear()
+                discrete_fk_residual(manufactured_sine(dim), n, M, Q, 0.0, np.zeros(dim), reps)
+                _assert_plan(chunks, reps, M**n * Q * dim, 1)
+                _assert_plan(rhs_chunks, reps, Q * M ** (n - 1) * Q * dim, 1)
+    assert len(rhs_chunks) > 1
 
 
 def _added_mb(call: str, cap: int) -> float:
@@ -361,6 +386,9 @@ def test_problem_output_shapes_are_checked():
         mlp_estimate(long_g, 1, 2, 2, x=np.zeros(2))
     with pytest.raises(ConfigError, match="nonlinearity"):
         discrete_fk_residual(scalar_f, 1, 2, 2, 0.0, np.zeros(2), 10)
+    long_exact = dataclasses.replace(heat_quadratic(2, 1.0), exact=lambda t, x: np.zeros(5))
+    with pytest.raises(ConfigError, match=r"exact returned shape \(5,\), expected \(1, 3\)"):
+        mc_l2_error(long_exact, 1, 2, 2, 0.0, np.zeros(2), 4)
 
 
 def test_mc_l2_error_zero_problem_is_exact():
@@ -425,9 +453,12 @@ def test_domain_validation():
         mlp_estimate(problem, 1, 2, 2, s=0.0, x=np.zeros(3))
     with pytest.raises(ValueError):
         mlp_estimate(problem, 1, 2, 2, s=0.0, x=np.array([np.nan, 0.0]))
-    for s in (None, "0.5", np.zeros(1), 0.5j):
+    for s in (None, "0.5", np.zeros(1), 0.5j, False):  # False would be s = 0.0
         with pytest.raises(ValueError, match="^need a real s"):
             mlp_estimate(problem, 1, 2, 2, s=s, x=np.zeros(2))
+    for x in (["a", "b"], [1 + 2j, 0], [None, 0.0], np.array([True, False])):
+        with pytest.raises(ValueError, match="^x must hold real numbers"):
+            mlp_estimate(problem, 1, 2, 2, x=x)
 
 
 def test_non_finite_terminal_raises():
@@ -498,3 +529,7 @@ def test_fk_residual_guards():
         discrete_fk_residual(problem, 2, 4, 2, 0.0, x, 100)
     with pytest.raises(ValueError):
         discrete_fk_residual(manufactured_sine(4), 1, 2, 2, 0.0, np.zeros(4), 100)
+    # malformed fields are named by the request guard before the small-instance guard compares them
+    for n, M, name in (("2", 2, "n"), (None, 2, "n"), (1, "2", "M"), (1, None, "M")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            discrete_fk_residual(problem, n, M, 2, 0.0, x, 100)

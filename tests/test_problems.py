@@ -160,3 +160,10 @@ def test_builder_validation():
         with pytest.raises(ValueError, match="^dim must be an integer"):
             Problem(dim=dim, **kwargs)
     assert Problem(dim=np.int64(2), **kwargs).dim == 2
+    kwargs["dim"] = 2
+    for horizon in (True, 0.0, math.inf, "1", None):  # True would be horizon 1.0
+        with pytest.raises(ValueError, match="^horizon must be positive"):
+            Problem(**{**kwargs, "horizon": horizon})
+    for name in ("lip_f", "lip_g"):
+        with pytest.raises(ValueError, match=f"^{name} must hold real numbers"):
+            Problem(**{**kwargs, name: ["a"] * len(kwargs[name])})

@@ -121,6 +121,12 @@ def test_sample_path_validation():
         with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
             sample_path(0, (), dimension, 0.0, [1.0])
     assert np.array_equal(sample_path(0, (), np.int64(2), 0.0, [1.0]).increments, sample_path(0, (), 2, 0.0, [1.0]).increments)
+    for start in (True, None, "0", float("inf")):  # True would be start 1.0
+        with pytest.raises(ValueError, match="^start must be a finite real number"):
+            sample_path(0, (), 1, start, [2.0])
+    for times in (["a", "b"], [1 + 2j, 2.0], [None]):
+        with pytest.raises(ValueError, match="^times must hold real numbers"):
+            sample_path(0, (), 1, 0.0, times)
 
 
 def test_increment_variance_over_keys():
