@@ -24,8 +24,11 @@ once per instruction set with GCC's ``target_clones`` (``avx512f``,
 supports; ``kernel_isa`` names it.  A compiler or libc without the
 attribute builds the default only.  The kernel also derives key states
 (the SplitMix64 absorb chain of :mod:`mlpicard.randomness`) for a whole
-outer product of states and labels in one call, and sums the estimator's
-node samples of f and f * dW over the sample axis in numpy's order.
+outer product of states and labels in one call, and does the array work
+of a node group of ``mlp_core._mlp_batch``: it writes the group's
+shifted points x + dW as one contiguous array, and it sums f and f * dW
+over the sample axis in numpy's order and adds each node's weighted
+term into the estimate, node by node, with numpy's operations.
 Every clone is built with ``-ffp-contract=off``, no fast-math and the
 scalar libm ``log``, so no fused multiply-add or vector approximation
 changes a rounding: every result is bit-identical to the numpy/scipy
@@ -116,6 +119,7 @@ def uniforms_from_states(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndar
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -293,28 +297,66 @@ CLONES void brownian_paths(const uint64_t *h0, const uint64_t *h1, int64_t lanes
     }
 }
 
-/* sf[b, j] = sum over i of f[i, b, j] and sfw[b, j, c] = sum over i of f[i, b, j] * dw[i, b, k0 + j, c],
-   for f of shape (m, B, g) and dw of shape (m, B, Q, d): added in order of i, starting from 0.0 as
-   numpy's reduction does when B (for sf) or B * d (for sfw) exceeds 1, and from the first term, as
-   its cumsum does, otherwise (-0.0 + v == v for every v) */
-void node_sums(const double *f, const double *dw, int64_t m, int64_t B, int64_t g, int64_t Q, int64_t d,
-               int64_t k0, double *sf, double *sfw)
+/* sf[b - b0, j] = sum over i of f[i, b, j] and sfw[b - b0, j, c] = sum over i of f[i, b, j] * dw[i, b, k0 + j, c]
+   for lanes b0 <= b < b1, f of shape (m, B, g) and dw of shape (m, B, Q, d): added in order of i, starting
+   from 0.0 as numpy's reduction does when B (for sf) or B * d (for sfw) exceeds 1, and from the first term,
+   as its cumsum does, otherwise (-0.0 + v == v for every v) */
+INLINE void lane_sums(const double *f, const double *dw, int64_t m, int64_t B, int64_t g, int64_t Q, int64_t d,
+                      int64_t k0, int64_t b0, int64_t b1, double *sf, double *sfw)
 {
     double zf = B > 1 ? 0.0 : -0.0, zw = B * d > 1 ? 0.0 : -0.0;
-    for (int64_t j = 0; j < B * g; j++)
+    for (int64_t j = 0; j < (b1 - b0) * g; j++)
         sf[j] = zf;
-    for (int64_t j = 0; j < B * g * d; j++)
+    for (int64_t j = 0; j < (b1 - b0) * g * d; j++)
         sfw[j] = zw;
     for (int64_t i = 0; i < m; i++)
-        for (int64_t b = 0; b < B; b++) {
+        for (int64_t b = b0; b < b1; b++) {
             const double *fi = f + (i * B + b) * g, *wi = dw + ((i * B + b) * Q + k0) * d;
-            double *sfb = sf + b * g, *swb = sfw + b * g * d;
+            double *sfb = sf + (b - b0) * g, *swb = sfw + (b - b0) * g * d;
             for (int64_t j = 0; j < g; j++) {
                 sfb[j] += fi[j];
                 for (int64_t c = 0; c < d; c++)
                     swb[j * d + c] += fi[j] * wi[j * d + c];
             }
         }
+}
+
+void node_sums(const double *f, const double *dw, int64_t m, int64_t B, int64_t g, int64_t Q, int64_t d,
+               int64_t k0, double *sf, double *sfw)
+{
+    lane_sums(f, dw, m, B, g, Q, d, k0, 0, B, sf, sfw);
+}
+
+/* row (i * B + b) * g + j of y = x[b] + dw[i, b, k0 + j], for x (B, d) and dw (m, B, Q, d) */
+void shifted_points(const double *x, const double *dw, int64_t m, int64_t B, int64_t Q, int64_t d, int64_t k0,
+                    int64_t g, double *y)
+{
+    for (int64_t i = 0; i < m * B; i++)
+        for (int64_t j = 0; j < g * d; j += d)
+            for (int64_t c = 0; c < d; c++)
+                *y++ = x[i % B * d + c] + dw[(i * Q + k0) * d + j + c];
+}
+
+/* out[b, 0] += w * sf[b, j] and out[b, 1 + c] += (w / (nodes[k] - s)) * sfw[b, j, c], w = weights[k] / m, for
+   k = k0 + j in order, with the sums of node_sums taken lane by lane: numpy's operations.  weights and nodes
+   are (Q,) and s (1,), or (B, Q) and (B,) with lane = 1.  Returns -1 if the sums cannot be allocated. */
+int node_terms(const double *f, const double *dw, int64_t m, int64_t B, int64_t g, int64_t Q, int64_t d, int64_t k0,
+               const double *weights, const double *nodes, const double *s, int64_t lane, double *out)
+{
+    double *sf = malloc(sizeof(double) * g * (d + 1)), *sfw = sf + g;
+    if (!sf)
+        return -1;
+    for (int64_t b = 0; b < B; b++, out += d + 1) {
+        lane_sums(f, dw, m, B, g, Q, d, k0, b, b + 1, sf, sfw);
+        for (int64_t j = 0, k = lane * b * Q + k0; j < g; j++, k++) {
+            double w = weights[k] / (double)m, r = w / (nodes[k] - s[lane * b]);
+            out[0] += w * sf[j];
+            for (int64_t c = 0; c < d; c++)
+                out[1 + c] += r * sfw[j * d + c];
+        }
+    }
+    free(sf);
+    return 0;
 }
 
 static uint64_t mix64(uint64_t z)
@@ -359,6 +401,8 @@ _SIGNATURES = {
     "brownian_paths": (_P, _P, _I, _I, _I, _P, _I, _P),
     "extend_states": (_P, _P, _I, _I, _P, _I, _I, _P),
     "node_sums": (_P, _P, _I, _I, _I, _I, _I, _I, _P, _P),
+    "shifted_points": (_P, _P, _I, _I, _I, _I, _I, _I, _P),
+    "node_terms": (_P, _P, _I, _I, _I, _I, _I, _I, _P, _P, _P, _I, _P),
 }
 
 
@@ -392,6 +436,7 @@ def _load_kernel(cache_dir: str, source: str = _C_SOURCE):
         fn.argtypes = argtypes
         fn.restype = None
     lib.kernel_isa.restype = ctypes.c_char_p
+    lib.node_terms.restype = ctypes.c_int
     return lib
 
 
@@ -458,7 +503,7 @@ def extend_states(h0: np.ndarray, h1: np.ndarray, labels: tuple) -> tuple[np.nda
 
 
 def node_sums(f: np.ndarray, dw: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Compiled sample sums of ``mlp_core._node_sums``: f (m, B, g), dw (m, B, Q, d) -> (B, g), (B, g, d)."""
+    """Compiled ``mlp_core._node_sums_numpy``: f (m, B, g), dw (m, B, Q, d) -> (B, g), (B, g, d)."""
     f = np.ascontiguousarray(f, dtype=np.float64)
     dw = np.ascontiguousarray(dw, dtype=np.float64)
     (m, B, g), (Q, d) = f.shape, dw.shape[2:]
@@ -468,3 +513,29 @@ def node_sums(f: np.ndarray, dw: np.ndarray, k0: int) -> tuple[np.ndarray, np.nd
     if sf.size:
         _KERNEL.node_sums(_address(f), _address(dw), m, B, g, Q, d, k0, _address(sf), _address(sfw))
     return sf, sfw
+
+
+def shifted_points(x: np.ndarray, dw: np.ndarray, k0: int, g: int) -> np.ndarray:
+    """Compiled ``mlp_core._points_numpy``: x (B, d) plus dw[:, :, k0:k0 + g] of dw (m, B, Q, d), as (m * B * g, d)."""
+    x, dw = np.ascontiguousarray(x, dtype=np.float64), np.ascontiguousarray(dw, dtype=np.float64)
+    m, B, Q, d = dw.shape
+    if x.shape != (B, d) or not 0 <= k0 <= Q - g:
+        raise ValueError(f"cannot shift x of shape {x.shape} by dw of shape {dw.shape} at nodes {k0}..{k0 + g - 1}")
+    y = np.empty((m * B * g, d))
+    if y.size:
+        _KERNEL.shifted_points(_address(x), _address(dw), m, B, Q, d, k0, g, _address(y))
+    return y
+
+
+def node_terms(out: np.ndarray, f: np.ndarray, dw: np.ndarray, k0: int, weights, nodes, s) -> None:
+    """Compiled ``mlp_core._node_terms_numpy``: adds the terms of f (m, B, g) at nodes k0.. into out (B, d + 1)."""
+    f, dw, weights, nodes, s = (np.ascontiguousarray(a, dtype=np.float64) for a in (f, dw, weights, nodes, s))
+    (m, B, g), (Q, d), lane = f.shape, dw.shape[2:], weights.ndim == 2
+    shapes = ((m, B), (B, d + 1), np.float64, ((B, Q), (B, Q), B) if lane else ((Q,), (Q,), 1))
+    if (dw.shape[:2], out.shape, out.dtype, (weights.shape, nodes.shape, s.size)) != shapes or not (
+        out.flags.carray and 0 <= k0 <= Q - g
+    ):
+        raise ValueError(f"cannot add the terms of f of shape {f.shape} from node {k0} into out of shape {out.shape}")
+    args = (_address(f), _address(dw), m, B, g, Q, d, k0, _address(weights), _address(nodes), _address(s), lane)
+    if f.size and _KERNEL.node_terms(*args, _address(out)):
+        raise MemoryError(f"cannot allocate the node sums of f of shape {f.shape}")

@@ -25,6 +25,13 @@ def _check_integer(name: str, value, low: int, high=None) -> None:
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
+def _check_real(name: str, value) -> float:
+    """``value`` as a float; a ValueError names ``name`` unless it is a real number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _real_array(name: str, value) -> np.ndarray:
     """``value`` as a float array; a ValueError names ``name`` unless it holds only real numbers."""
     out = np.asarray(value)

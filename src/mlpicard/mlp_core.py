@@ -26,7 +26,8 @@ All user functions are evaluated on batches: ``g(x)`` maps (L, d) to
 when lanes at different Gauss-Legendre nodes share one call -- plus
 (L, d), (L,), (L, d) to (L,), and ``exact(t, x)`` maps a scalar time
 plus (L, d) to (L, d+1).  An f or g output of any other shape raises
-``ConfigError``.
+``ConfigError``.  f and g must not write into their arguments: at a
+level-0 child, w and z are read-only broadcast views of zero.
 
 Cost accounting: counters tally every scalar Gaussian draw and every
 f/g evaluation at sampled points.  The one terminal value g(x) at the
@@ -83,7 +84,9 @@ class Problem:
 
     ``terminal`` maps (L, d) points to (L,) values; ``nonlinearity(t, x,
     w, z)`` maps a time ``t`` (a float or an (L,) array of per-lane
-    times) and (L, d), (L,), (L, d) arrays to (L,) values.
+    times) and (L, d), (L,), (L, d) arrays to (L,) values.  Neither may
+    write into its arguments: at a level-0 child, w and z are read-only
+    zero views.
 
     ``lip_f`` holds the d+1 Lipschitz constants of the nonlinearity in
     (w, z), ``lip_g`` the d coordinate Lipschitz constants of the
@@ -256,18 +259,33 @@ def _sample_sum(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=0) if a[0].size > 1 else np.cumsum(a, axis=0)[-1]
 
 
-def _node_sums(f: np.ndarray, dw: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
+def _node_sums_numpy(f: np.ndarray, dw: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
     """``_sample_sum`` of f[:, :, j] and of f[:, :, j, None] * dw[:, :, k0 + j] for every j.
 
     f has shape (m, B, g) and dw (m, B, Q, d); returns (B, g) and (B, g, d).
-    The compiled kernel adds in the same order, so both give the same bits.
+    ``_bits.node_sums`` adds in the same order, so both give the same bits.
     """
-    if _bits._KERNEL is not None:
-        return _bits.node_sums(f, dw, k0)
     js = range(f.shape[2])
     sf = np.stack([_sample_sum(f[:, :, j]) for j in js], axis=1)
     sfw = np.stack([_sample_sum(f[:, :, j, None] * dw[:, :, k0 + j]) for j in js], axis=1)
     return sf, sfw
+
+
+def _points_numpy(x: np.ndarray, dw: np.ndarray, k0: int, g: int) -> np.ndarray:
+    """The points x[b] + dw[i, b, k0 + j] of nodes k0..k0+g-1, for x (B, d), as an (m * B * g, d) array."""
+    return (x[None, :, None] + dw[:, :, k0 : k0 + g]).reshape(-1, x.shape[1])
+
+
+def _node_terms_numpy(out: np.ndarray, f: np.ndarray, dw: np.ndarray, k0: int, weights, nodes, s) -> None:
+    """Add the terms of f (m, B, g) at nodes k0..k0+g-1 into out (B, d+1) in k order.
+
+    ``weights`` and ``nodes`` have shape (Q,) with a scalar ``s``, or (B, Q) with a (B,) ``s``.
+    """
+    sf, sfw = _node_sums_numpy(f, dw, k0)
+    for k in range(k0, k0 + f.shape[2]):
+        w_over_m = weights[..., k] / f.shape[0]
+        out[:, 0] += w_over_m * sf[:, k - k0]
+        out[:, 1:] += (w_over_m / (nodes[..., k] - s))[..., None] * sfw[:, k - k0]
 
 
 def _lane_states(seed: int, key: Sequence[int], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,10 +297,10 @@ def _lane_states(seed: int, key: Sequence[int], lo: int, hi: int) -> tuple[np.nd
 def _child_estimates(problem, level, M, Q, rule, h0, h1, ranks, t, y, counters) -> np.ndarray:
     """Level-``level`` estimates at (t, y) keyed (prefix, rank) for prefix states h0/h1 of shape (m, B).
 
-    A level-0 estimate is zero, so no key is derived and no call made.
+    A level-0 estimate is a read-only zero view: no key, call or array.
     """
     if level == 0:
-        return np.zeros((y.shape[0], y.shape[1] + 1))
+        return np.broadcast_to(0.0, (y.shape[0], y.shape[1] + 1))
     kh0, kh1 = _extend_state(h0[:, :, None], h1[:, :, None], ranks)
     return _mlp_batch(problem, level, M, Q, rule, kh0.reshape(-1), kh1.reshape(-1), t, y, counters)
 
@@ -311,6 +329,10 @@ def _mlp_batch(
     B, d = x.shape
     if n == 0:
         return np.zeros((B, d + 1))
+    if _bits._KERNEL is not None:  # the node-group array work: compiled, or numpy's reference
+        node_sums, points, node_terms = _bits.node_sums, _bits.shifted_points, _bits.node_terms
+    else:
+        node_sums, points, node_terms = _node_sums_numpy, _points_numpy, _node_terms_numpy
 
     s = np.asarray(s, dtype=float)
     span = problem.horizon - s
@@ -327,7 +349,7 @@ def _mlp_batch(
     counters.gaussians_drawn += m * B * d
     gy = _evaluate(problem.terminal, "terminal", (m * B,), (x[None, :, :] + dw).reshape(m * B, d)).reshape(m, B)
     counters.g_evals += m * B
-    sf, sfw = _node_sums((gy - gx[None, :])[:, :, None], dw[:, :, None, :], 0)
+    sf, sfw = node_sums((gy - gx[None, :])[:, :, None], dw[:, :, None, :], 0)
     out[:, 0] += sf[:, 0] / m
     out[:, 1:] += sfw[:, 0] / (m * span)[..., None]
 
@@ -337,8 +359,6 @@ def _mlp_batch(
     # every descendant's block of B * M^n * Q * d Gaussians grows by the
     # group size, so groups stop at the cap
     group = max(1, min(Q, _FOLD_CAP // (B * M**n * Q * d)))
-    # x repeated over a group's nodes, so y = x + dW adds along whole rows
-    xg = np.ascontiguousarray(np.broadcast_to(x[:, None, :], (B, group, d)))
 
     for level in range(n):
         m = M ** (n - level)
@@ -354,7 +374,7 @@ def _mlp_batch(
             ranks = np.arange(k0 + 1, k1 + 1, dtype=np.int64)
             t = nodes[..., k0:k1]
             t = t.item() if t.size == 1 else np.broadcast_to(t, (m, B, k1 - k0)).reshape(lanes)
-            y = (xg[None, :, : k1 - k0] + dw_nodes[:, :, k0:k1, :]).reshape(lanes, d)
+            y = points(x, dw_nodes, k0, k1 - k0)
 
             # keys (key, level, i, rank)
             inner = _child_estimates(problem, level, M, Q, rule, ph0, ph1, ranks, t, y, counters)
@@ -367,11 +387,7 @@ def _mlp_batch(
                 counters.f_evals += lanes
 
             # accumulate node by node in k order, as an unfolded call would
-            sf, sfw = _node_sums(fv.reshape(m, B, k1 - k0), dw_nodes, k0)
-            for k in range(k0, k1):
-                w_over_m = weights[..., k] / m
-                out[:, 0] += w_over_m * sf[:, k - k0]
-                out[:, 1:] += (w_over_m / (nodes[..., k] - s))[..., None] * sfw[:, k - k0]
+            node_terms(out, fv.reshape(m, B, k1 - k0), dw_nodes, k0, weights, nodes, s)
     return out
 
 

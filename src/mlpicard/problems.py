@@ -15,7 +15,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from .analysis import log_gamma
-from .errors import _check_integer
+from .errors import _check_integer, _check_real
 from .mlp_core import Problem
 
 __all__ = [
@@ -37,9 +37,9 @@ def heat_quadratic(dim: int, horizon: float, box_radius: float = 3.0) -> Problem
     coordinate constant is 2 * box_radius.
     """
     _check_integer("dim", dim, 1)
-    if not (0 < horizon < math.inf and 0 < box_radius < math.inf):
+    d, T, box_radius = int(dim), _check_real("horizon", horizon), _check_real("box_radius", box_radius)
+    if not (0 < T < math.inf and 0 < box_radius < math.inf):
         raise ValueError(f"need finite horizon > 0 and box_radius > 0, got {horizon} and {box_radius}")
-    d, T = int(dim), float(horizon)
 
     def terminal(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -97,13 +97,13 @@ def manufactured_sine(
     error bounds stay finite and convergence is visible by level 4.
     """
     _check_integer("dim", dim, 1)
-    if not 0 < horizon < math.inf:
+    d, T = int(dim), _check_real("horizon", horizon)
+    if not 0 < T < math.inf:
         raise ValueError(f"need finite horizon > 0, got {horizon}")
-    if c is None:
-        c = 1.0 / dim
+    c = _check_real("c", 1.0 / d if c is None else c)
+    beta, gamma = _check_real("beta", beta), _check_real("gamma", gamma)
     if not all(0 <= v < math.inf for v in (c, beta, gamma)):
         raise ValueError(f"need finite c, beta, gamma >= 0, got {c}, {beta}, {gamma}")
-    d, T, c, beta, gamma = int(dim), float(horizon), float(c), float(beta), float(gamma)
     kappa = 0.5 * d * c * c
 
     def phase(t: float, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, Optional
 import numpy as np
 from scipy.special import ndtri
 
-from . import _bits, quadrature, randomness
+from . import _bits, mlp_core, quadrature, randomness
 from .analysis import (
     binomial,
     cost_fe_exact,
@@ -184,7 +184,7 @@ def _check_cost_model() -> tuple[bool, str]:
 
 
 def _check_bit_kernel() -> tuple[bool, str]:
-    """Compiled paths, states and ndtri against the numpy/scipy reference, bitwise."""
+    """Compiled paths, states, ndtri and node-group entries against the numpy/scipy reference, bitwise."""
     if _bits._KERNEL is None:
         return True, "numpy fallback runs (no compiled kernel loaded); nothing to compare"
     rng = np.random.default_rng(41)
@@ -199,6 +199,19 @@ def _check_bit_kernel() -> tuple[bool, str]:
             want = randomness._extend_numpy(h0[:, None], h1[:, None], (*chain, labels))
             if not (np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])):
                 return False, f"states differ for {lanes} lanes and chain {chain}"
+    # groups of one and of several nodes, shared and per-lane times, and zero sums of either sign
+    for m, B, g, Q, d, k0 in ((1, 1, 1, 1, 1, 0), (3, 4, 2, 5, 10, 3), (16, 2, 4, 4, 2, 0)):
+        x, dw, s = rng.normal(size=(B, d)), rng.normal(size=(m, B, Q, d)), rng.uniform(0.0, 0.5, size=B)
+        pairs = [(_bits.shifted_points(x, dw, k0, g), mlp_core._points_numpy(x, dw, k0, g))]
+        for f in (rng.normal(size=(m, B, g)), -np.zeros((m, B, g))):
+            pairs += zip(_bits.node_sums(f, dw, k0), mlp_core._node_sums_numpy(f, dw, k0))
+            w, lag = rng.uniform(size=(2, B, Q))  # per-lane weights, and nodes less s
+            for times in ((w[0], 0.6 + lag[0], 0.5), (w, s[:, None] + lag, s)):
+                pairs.append((np.full((B, d + 1), -0.0), np.full((B, d + 1), -0.0)))
+                _bits.node_terms(pairs[-1][0], f, dw, k0, *times)
+                mlp_core._node_terms_numpy(pairs[-1][1], f, dw, k0, *times)
+        if any(a.tobytes() != b.tobytes() for a, b in pairs):
+            return False, f"node-group entries differ at (m, B, g, Q, d, k0) = {(m, B, g, Q, d, k0)}"
     # all three ndtri branches, the far tail (u < exp(-32)) and both ends
     u = np.concatenate([np.exp(-np.linspace(0.0, 700.0, 2001)), 1.0 - np.exp(-np.linspace(0.0, 36.0, 2001))])
     z = np.empty_like(u)
@@ -206,7 +219,10 @@ def _check_bit_kernel() -> tuple[bool, str]:
     if not np.array_equal(z, ndtri(u)):
         return False, "ndtri differs from scipy.special.ndtri"
     isa = _bits._KERNEL.kernel_isa().decode()
-    return True, f"compiled kernel runs ({isa} clone); paths, states and ndtri equal the numpy/scipy reference bitwise"
+    return True, (
+        f"compiled kernel runs ({isa} clone); paths, states, ndtri, shifted points, node sums and node terms "
+        "equal the numpy/scipy reference bitwise"
+    )
 
 
 def _check_problem_residuals() -> tuple[bool, str]:

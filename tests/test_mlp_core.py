@@ -176,7 +176,8 @@ def test_node_fold_cap_does_not_change_outputs(monkeypatch):
 
 def test_compiled_kernel_and_numpy_fallback_give_identical_outputs(monkeypatch):
     def outputs():
-        out = _outputs_under_cap(monkeypatch, mlp_core._FOLD_CAP)
+        # a cap of 40 splits the nodes into groups smaller than Q in some calls
+        out = _outputs_under_cap(monkeypatch, mlp_core._FOLD_CAP) + _outputs_under_cap(monkeypatch, 40)
         for dim in (1, 3):
             residual = discrete_fk_residual(manufactured_sine(dim), 2, 3, 2, 0.25, np.full(dim, 0.2), 20, seed=4)
             out.append((np.concatenate([residual.residual, residual.radius]), {}))
@@ -335,6 +336,72 @@ def test_node_sums_match_sample_sum():
                 assert got[1][:, j].tobytes() == want.tobytes(), (m, B, g, Q, d)
     with pytest.raises(ValueError, match="cannot sum"):
         _bits.node_sums(np.zeros((2, 3, 2)), np.zeros((2, 3, 2, 1)), 1)
+
+
+_NODE_CASES = ((7, 5, 3, 4, 2, 1), (1, 1, 1, 1, 1, 0), (9, 1, 1, 3, 4, 2), (5, 1, 2, 2, 1, 0),
+               (1, 6, 2, 2, 3, 0), (16, 64, 4, 4, 10, 0), (3, 2, 1, 1, 1, 0), (4, 3, 2, 5, 10, 3))
+
+
+def test_node_terms_match_numpy_reference():
+    # the cases of test_node_sums_match_sample_sum, plus a group of 2 of 5
+    # nodes from k0 = 3; start values of -0.0 show the sign of a zero sum
+    if _bits._KERNEL is None:
+        pytest.skip("no compiled kernel")
+    rng = np.random.default_rng(13)
+    for m, B, g, Q, d, k0 in _NODE_CASES:
+        dw = rng.normal(size=(m, B, Q, d))
+        for f in (rng.normal(size=(m, B, g)), np.zeros((m, B, g)), -np.zeros((m, B, g))):
+            start = rng.normal(size=(B, d + 1)) if f.any() else -np.zeros((B, d + 1))
+            s = rng.uniform(0.0, 0.5, size=B)
+            shared = (rng.uniform(0.1, 1.0, size=Q), 0.4 + rng.uniform(0.1, 0.6, size=Q), np.asarray(0.4))
+            per_lane = (rng.uniform(0.1, 1.0, size=(B, Q)), s[:, None] + rng.uniform(0.1, 0.6, size=(B, Q)), s)
+            for weights, nodes, t in (shared, per_lane):
+                got, want = start.copy(), start.copy()
+                _bits.node_terms(got, f, dw, k0, weights, nodes, t)
+                mlp_core._node_terms_numpy(want, f, dw, k0, weights, nodes, t)
+                assert got.tobytes() == want.tobytes(), (m, B, g, Q, d, k0, weights.shape)
+    with pytest.raises(ValueError, match="cannot add"):
+        _bits.node_terms(np.zeros((3, 2)), np.zeros((2, 3, 2)), np.zeros((2, 3, 2, 1)), 1, np.ones(2), np.ones(2), 0.0)
+    with pytest.raises(ValueError, match="cannot add"):  # per-lane weights need per-lane times
+        _bits.node_terms(np.zeros((3, 2)), np.zeros((2, 3, 1)), np.zeros((2, 3, 2, 1)), 0, np.ones((3, 2)),
+                         np.ones((3, 2)), 0.0)
+
+
+def test_shifted_points_match_numpy():
+    if _bits._KERNEL is None:
+        pytest.skip("no compiled kernel")
+    rng = np.random.default_rng(14)
+    for m, B, g, Q, d, k0 in _NODE_CASES:
+        x, dw = rng.normal(size=(B, d)), rng.normal(size=(m, B, Q, d))
+        want = x[None, :, None] + dw[:, :, k0 : k0 + g]
+        got = _bits.shifted_points(x, dw, k0, g)
+        assert got.shape == (m * B * g, d) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), (m, B, g, Q, d, k0)
+        assert mlp_core._points_numpy(x, dw, k0, g).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="cannot shift"):
+        _bits.shifted_points(np.zeros((3, 1)), np.zeros((2, 3, 2, 1)), 1, 2)
+
+
+def test_level_zero_children_pass_zero_inputs(monkeypatch):
+    # at n = 1 every f call is on level-0 estimates: read-only views of +0.0
+    # (a -0.0 would change f's bits) in the shapes (L,) and (L, d)
+    seen = []
+
+    def nonlinearity(t, x, w, z):
+        seen.append((x.shape, w, z))
+        return np.zeros(np.shape(w))
+
+    problem = dataclasses.replace(manufactured_sine(3), nonlinearity=nonlinearity)
+    for kernel in (_bits._KERNEL, None):
+        monkeypatch.setattr(_bits, "_KERNEL", kernel)
+        seen.clear()
+        mlp_estimate(problem, 1, 2, 3, x=np.zeros(3))
+        mc_l2_error(problem, 1, 3, 2, 0.0, np.zeros(3), 4)
+        assert len(seen) == 2
+        for (lanes, d), w, z in seen:
+            assert w.shape == (lanes,) and z.shape == (lanes, d) and d == 3
+            assert not (w.any() or z.any() or np.signbit(w).any() or np.signbit(z).any())
+            assert not (w.flags.writeable or z.flags.writeable)
 
 
 def _trace_calls(monkeypatch):

@@ -155,6 +155,13 @@ def test_builder_validation():
             with pytest.raises(ValueError, match=f"^need finite .*{name}"):
                 heat_quadratic(2, **{"horizon": 1.0, name: value})
     assert heat_quadratic(np.int64(2), 1.0).dim == 2
+    # a non-real or bool parameter is named, not compared first ("'<' not supported") or accepted
+    for builder, name, value in ((manufactured_sine, "horizon", "1"), (heat_quadratic, "horizon", None),
+                                 (manufactured_sine, "c", "0.5"), (heat_quadratic, "box_radius", "3"),
+                                 (manufactured_sine, "beta", True), (manufactured_sine, "gamma", 1j)):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}"):
+            builder(2, **{"horizon": 1.0, name: value})
+    assert manufactured_sine(2, horizon=np.float32(0.5), c=1, beta=0).horizon == 0.5
     kwargs = dict(horizon=1.0, terminal=None, nonlinearity=None, lip_f=np.zeros(3), lip_g=np.zeros(2))
     for dim in (2.0, True, "2"):
         with pytest.raises(ValueError, match="^dim must be an integer"):

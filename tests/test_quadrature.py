@@ -70,10 +70,16 @@ def test_rule_invariants_all_orders():
         assert np.max(np.abs(rule.weights - rule.weights[::-1])) <= 1e-14
 
 
-@pytest.mark.parametrize("order", [0, -1, 65, 1000])
+@pytest.mark.parametrize("order", [0, -1, 65, 1000, [3], 3.0])
 def test_build_rule_rejects_bad_orders(order):
+    # the guard runs before the cache, which would hash a list first ("unhashable type")
     with pytest.raises(ValueError):
         build_rule(order)
+
+
+def test_rule_cache_keys_on_the_checked_order():
+    assert build_rule(np.int64(3)) is build_rule(3)
+    assert np.array_equal(build_rule.__wrapped__(3).nodes, build_rule(3).nodes)  # the uncached builder
 
 
 def test_rule_arrays_are_immutable():
@@ -166,6 +172,13 @@ def test_iterated_guards():
         iterated_gl_lhs(3, 0, 0.0, 1.0)
     with pytest.raises(ValueError):
         iterated_gl_rhs(3, 2, 1.0, 1.0)
+    # named before any comparison ("'>' not supported")
+    with pytest.raises(ValueError, match=r"^chain order must be an integer in \[1, 10\], got \[3\]"):
+        iterated_gl_lhs([3], 2, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^chain depth must be an integer in \[1, 8\], got 2.0"):
+        iterated_gl_rhs(3, 2.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^order must be an integer in \[1, 64\], got \[3\]"):
+        frac_moment_sum([3], 1)
 
 
 def test_frac_moment_examples_and_bound():
