@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import _check_integer
+from .errors import _POSITIVE, _check_instance, _check_integer, _check_real, _real_array
 
 __all__ = [
     "BoundInputs",
@@ -34,16 +34,13 @@ __all__ = [
 
 def log_gamma(x: float) -> float:
     """log(Gamma(x)) for x > 0, from the C library's ``lgamma``."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    return math.lgamma(_check_real("x", x, _POSITIVE))
 
 
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k)."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires n, k >= 0, got ({n}, {k})")
+    _check_integer("n", n, 0)
+    _check_integer("k", k, 0)
     return math.comb(n, k)
 
 
@@ -53,18 +50,18 @@ def count_increasing_chains(n: int, l0: int, j: int) -> int:
     Brute-force counterpart of ``binomial(n - l0 - 1, j)``; kept as an
     independent oracle for tests and the self-check.
     """
-    if not 0 <= l0 < n:
-        raise ValueError("need 0 <= l0 < n")
+    _check_integer("n", n, 1)
+    _check_integer("l0", l0, 0, n - 1)
     candidates = range(l0 + 1, n)
     return sum(1 for _ in itertools.combinations(candidates, j))
 
 
 def norm_log_subadditivity_check(x, y, p: int, ord: float = 2) -> bool:
-    """True iff 1 + |x+y|^p <= (1 + |y|)^p (1 + |x|^p) for the given norm."""
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """True iff 1 + |x+y|^p <= (1 + |y|)^p (1 + |x|^p) for real p >= 1 and the norm of order ord >= 1 (or inf)."""
+    _check_real("p", p, 1.0)
+    if ord != math.inf:
+        ord = _check_real("ord", ord, 1.0)
+    x, y = _real_array("x", x), _real_array("y", y)
     if x.shape != y.shape:
         raise ValueError("x and y must have the same shape")
     nx = np.linalg.norm(x, ord)
@@ -75,6 +72,7 @@ def norm_log_subadditivity_check(x, y, p: int, ord: float = 2) -> bool:
 
 def constant_C(T: float, t0: float, lip_f_l1: float) -> float:
     """Growth constant 2(sqrt(T-t0)+1) sqrt((T-t0) pi) (|L|_1 + 1) + 1."""
+    T, t0, lip_f_l1 = _check_real("T", T), _check_real("t0", t0), _check_real("lip_f_l1", lip_f_l1, 0.0)
     if not t0 < T:
         raise ValueError(f"need t0 < T, got t0={t0}, T={T}")
     span = T - t0
@@ -83,10 +81,8 @@ def constant_C(T: float, t0: float, lip_f_l1: float) -> float:
 
 def iterated_gl_upper_bound(k: int, span: float) -> float:
     """Upper bound 2 (span*pi)^(k/2) / Gamma(k/2) for the iterated node sums."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if span < 0:
-        raise ValueError(f"need span >= 0, got {span}")
+    _check_integer("k", k, 1)
+    span = _check_real("span", span, 0.0)
     if span == 0.0:
         return 0.0
     return math.exp(math.log(2.0) + 0.5 * k * math.log(span * math.pi) - log_gamma(0.5 * k))
@@ -117,17 +113,14 @@ class BoundInputs:
     Q: int
     alpha: float = 0.25
 
-    def validate(self) -> None:
-        if not self.t0 < self.T:
-            raise ValueError(f"need t0 < T, got t0={self.t0}, T={self.T}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"need alpha in [0, 1], got {self.alpha}")
-        if self.n < 1 or self.Q < 1:
-            raise ValueError("need n >= 1 and Q >= 1")
+    def __post_init__(self):
+        for name in ("n", "M", "Q"):
+            _check_integer(name, getattr(self, name), 1)
         for name in ("lip_f_l1", "lip_g_l1", "sup_f0", "sup_u", "deriv_ratio"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+            _check_real(name, getattr(self, name), 0.0)
+        _check_real("alpha", self.alpha, 0.0, 1.0)
+        if not _check_real("t0", self.t0) < _check_real("T", self.T, _POSITIVE):
+            raise ValueError(f"need t0 < T, got t0={self.t0}, T={self.T}")
 
 
 def log_bound_nmq(inputs: BoundInputs) -> float:
@@ -138,9 +131,8 @@ def log_bound_nmq(inputs: BoundInputs) -> float:
     / sqrt(M^(n-3)) and a quadrature term
     (14 (4C)^(n-1) + 1) T^(2Q+1) deriv_ratio / Q^(2 alpha Q).
     """
-    inputs.validate()
-    if inputs.M < 2:
-        raise ValueError(f"need M >= 2, got {inputs.M}")
+    _check_instance("inputs", inputs, BoundInputs)
+    _check_integer("M", inputs.M, 2)
     n, M, Q = inputs.n, inputs.M, inputs.Q
     span = inputs.T - inputs.t0
     C = constant_C(inputs.T, inputs.t0, inputs.lip_f_l1)
@@ -173,21 +165,28 @@ def log_bound_nmq(inputs: BoundInputs) -> float:
 
 
 def bound_nmq(inputs: BoundInputs) -> float:
-    """The (n, M, Q) error bound itself.  See :func:`log_bound_nmq`."""
-    return math.exp(log_bound_nmq(inputs))
+    """The (n, M, Q) error bound itself, inf beyond the float range.  See :func:`log_bound_nmq`."""
+    return _exp(log_bound_nmq(inputs))
 
 
 def log_bound_nnn(inputs: BoundInputs) -> float:
     """Log of the diagonal bound: n = M = Q and alpha = 1/4."""
-    if inputs.n < 2:
-        raise ValueError(f"diagonal bound needs n >= 2, got {inputs.n}")
+    _check_instance("inputs", inputs, BoundInputs)
+    _check_integer("n", inputs.n, 2)
     diag = replace(inputs, M=inputs.n, Q=inputs.n, alpha=0.25)
     return log_bound_nmq(diag)
 
 
 def bound_nnn(inputs: BoundInputs) -> float:
-    """Diagonal error bound (n = M = Q, alpha = 1/4)."""
-    return math.exp(log_bound_nnn(inputs))
+    """Diagonal error bound (n = M = Q, alpha = 1/4), inf beyond the float range."""
+    return _exp(log_bound_nnn(inputs))
+
+
+def _exp(log_value: float) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def _cost(n: int, M: int, Q: int, a: int, b: int) -> int:

@@ -38,8 +38,6 @@ recursions of :mod:`mlpicard.analysis` exactly.
 
 from __future__ import annotations
 
-import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -48,9 +46,10 @@ import numpy as np
 
 from . import _bits
 from .analysis import cost_rn_exact
-from .errors import BudgetError, ConfigError, EvaluationError, _check_integer, _real_array
+from .errors import _POSITIVE, BudgetError, ConfigError, EvaluationError
+from .errors import _check_instance, _check_integer, _check_real, _real_array
 from .quadrature import MAX_ORDER, GaussLegendreRule, build_rule
-from .randomness import _MASK64, _extend_state, _standard_normals, derive_key, state_for_key
+from .randomness import _MASK64, _extend_state, _key, _standard_normals, state_for_key
 
 __all__ = [
     "CostCounters",
@@ -67,6 +66,8 @@ __all__ = [
 DEFAULT_MAX_LEVEL = 6
 DEFAULT_MAX_SAMPLES = 10**8
 DEFAULT_MAX_GAUSSIANS = 10**8
+# most threads a request may run replication chunks on
+MAX_THREADS = 256
 
 # Caps in Gaussians per Monte Carlo block (lanes * M^n * Q * d): up to
 # _FOLD_CAP a call folds time nodes into the lanes of one recursive call;
@@ -91,9 +92,11 @@ class Problem:
     ``lip_f`` holds the d+1 Lipschitz constants of the nonlinearity in
     (w, z), ``lip_g`` the d coordinate Lipschitz constants of the
     terminal condition (on the declared evaluation box when g is only
-    locally Lipschitz).  ``sup_f0``, ``sup_u`` and ``deriv_ratio`` are
-    optional analytic inputs for the error bounds; problems that cannot
-    supply them leave them None and the bounds report "n/a".
+    locally Lipschitz), on the box |x|_inf <= ``box_radius``.  ``sup_f0``,
+    ``sup_u`` and ``deriv_ratio`` are optional analytic inputs for the error
+    bounds; problems that cannot supply them leave them None and the bounds
+    report "n/a".  horizon and box_radius are finite reals > 0, the other
+    numbers finite reals >= 0.
     """
 
     horizon: float
@@ -110,18 +113,18 @@ class Problem:
     name: str = ""
 
     def __post_init__(self):
-        h = self.horizon
-        if isinstance(h, bool) or not (isinstance(h, numbers.Real) and math.isfinite(h) and h > 0.0):
-            raise ValueError(f"horizon must be positive and finite, got {h!r}")
+        _check_real("horizon", self.horizon, _POSITIVE)
+        _check_real("box_radius", self.box_radius, _POSITIVE)
+        for name in ("sup_f0", "sup_u", "deriv_ratio"):
+            if getattr(self, name) is not None:
+                _check_real(name, getattr(self, name), 0.0)
         _check_integer("dim", self.dim, 1)
-        lip_f = _real_array("lip_f", self.lip_f)
-        lip_g = _real_array("lip_g", self.lip_g)
+        lip_f = _real_array("lip_f", self.lip_f, 0.0)
+        lip_g = _real_array("lip_g", self.lip_g, 0.0)
         if lip_f.shape != (self.dim + 1,):
             raise ValueError(f"lip_f must have shape ({self.dim + 1},), got {lip_f.shape}")
         if lip_g.shape != (self.dim,):
             raise ValueError(f"lip_g must have shape ({self.dim},), got {lip_g.shape}")
-        if np.any(lip_f < 0.0) or np.any(lip_g < 0.0):
-            raise ValueError("Lipschitz constants must be nonnegative")
         object.__setattr__(self, "lip_f", lip_f)
         object.__setattr__(self, "lip_g", lip_g)
 
@@ -207,26 +210,28 @@ def check_request(
 ) -> np.ndarray:
     """Return x as a float array if the request is well formed and within budget.
 
-    ValueError: n, M, Q, replications or threads not an integer of at least
-    0, 1, 1, 2 and 1, Q above 64, or a bad s, x, seed or key; a bool is
-    neither an integer nor a real s.
+    ValueError: not a Problem; n, M, Q, replications, threads, max_level or
+    max_gaussians not an integer of at least 0, 1, 1, 2, 1, 0 and 0, Q above
+    64, replications above 2^63 (replication r is an int64 key label) or
+    threads above ``MAX_THREADS``; s not a finite real in [0, horizon), x
+    not d finite reals, or a bad seed or key.  A bool is not a number.
     BudgetError: n above ``max_level``, M^n above the sample cap, or
     ``cost_rn_exact`` Gaussians per estimate above ``max_gaussians``.
     """
-    for check in (("n", n, 0), ("M", M, 1), ("Q", Q, 1, MAX_ORDER), ("threads", threads, 1)):
+    _check_instance("problem", problem, Problem)
+    for check in (("n", n, 0), ("M", M, 1), ("Q", Q, 1, MAX_ORDER), ("threads", threads, 1, MAX_THREADS),
+                  ("max_level", max_level, 0), ("max_gaussians", max_gaussians, 0)):
         _check_integer(*check)
     if replications is not None:
-        _check_integer("replications", replications, 2)
+        _check_integer("replications", replications, 2, 2**63)
     n, M, Q = int(n), int(M), int(Q)  # Python integers, so M^n cannot wrap
-    if isinstance(s, bool) or not (isinstance(s, numbers.Real) and 0.0 <= s < problem.horizon):
-        raise ValueError(f"need a real s with 0 <= s < horizon={problem.horizon}, got s={s!r}")
+    if not _check_real("s", s, 0.0) < problem.horizon:
+        raise ValueError(f"need s < horizon={problem.horizon}, got s={s!r}")
     x = _real_array("x", x)
     if x.shape != (problem.dim,):
         raise ValueError(f"x must have shape ({problem.dim},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
     _check_integer("seed", seed, 0, _MASK64)
-    derive_key((), key)
+    _key("key", key)
     if n > max_level:
         raise BudgetError(f"level n={n} exceeds the configured maximum {max_level}")
     if M**n > DEFAULT_MAX_SAMPLES:
@@ -407,31 +412,15 @@ def mlp_estimate(
 ) -> Estimate:
     """One realization of the level-n value-and-gradient estimate at (s, x).
 
-    Pure function of (problem, n, M, Q, key, seed, s, x): repeated calls
-    agree bitwise.  The predicted Gaussian count is checked against the
-    budget before any work happens.
-
-    Parameters
-    ----------
-    problem : Problem
-    n, M, Q : int
-        Picard level, sample base, and quadrature order.
-    key : sequence of int
-        Root multi-index of the realization.
-    seed : int
-        Global seed.
-    s, x : float, array
-        Space-time evaluation point with 0 <= s < horizon.
-    counters : CostCounters, optional
-        Accumulates realized costs; a fresh instance is used if omitted.
-
-    Returns
-    -------
-    Estimate
+    n, M and Q are the Picard level, sample base and quadrature order, and
+    ``key`` the root multi-index.  Pure function of (problem, n, M, Q, key,
+    seed, s, x): repeated calls agree bitwise.  ``check_request`` checks the
+    request and its Gaussian count before any work happens.  ``counters``
+    accumulates the realized costs (fresh ones if omitted).
     """
     x = check_request(problem, n, M, Q, s, x, seed, key, max_level=max_level, max_gaussians=max_gaussians)
-    if counters is None:
-        counters = CostCounters()
+    counters = CostCounters() if counters is None else counters
+    _check_instance("counters", counters, CostCounters)
     h0, h1 = state_for_key(seed, key)
     rule = build_rule(Q)
     components = _mlp_batch(problem, n, M, Q, rule, h0, h1, float(s), x[None, :], counters)[0]
@@ -512,13 +501,14 @@ def mc_l2_error(
     gradient summary is the sup over gradient components.  Results are
     bitwise independent of ``threads``.
     """
-    if problem.exact is None:
-        raise ValueError("mc_l2_error requires a problem with an exact solution")
+    _check_integer("replications", replications, 2)  # check_request reads None as a single estimate
     x = check_request(
         problem, n, M, Q, s, x, seed, key, replications, threads, max_level=max_level, max_gaussians=max_gaussians
     )
-    if counters is None:
-        counters = CostCounters()
+    if problem.exact is None:
+        raise ValueError("mc_l2_error requires a problem with an exact solution")
+    counters = CostCounters() if counters is None else counters
+    _check_instance("counters", counters, CostCounters)
     rule = build_rule(Q)
     estimates = _run_replications(
         lambda lo, hi, c: _replication_batch(problem, n, M, Q, rule, seed, key, lo, hi, s, x, c),
@@ -603,11 +593,10 @@ def discrete_fk_residual(
 
     Restricted to small instances (d <= 3, n <= 2, M <= 3, Q <= 3).
     """
+    _check_integer("replications", replications, 2)  # check_request reads None as a single estimate
     x = check_request(problem, n, M, Q, s, x, seed, key, replications)
-    if not 1 <= n <= 2:
-        raise ValueError(f"residual check supports 1 <= n <= 2, got {n}")
-    if M > 3 or Q > 3 or problem.dim > 3:
-        raise ValueError(f"residual check guard: need M, Q <= 3 and d <= 3, got M={M}, Q={Q}, d={problem.dim}")
+    for name, value, high in (("n", n, 2), ("M", M, 3), ("Q", Q, 3), ("problem.dim", problem.dim, 3)):
+        _check_integer(f"residual check {name}", value, 1, high)
     d, R, s = problem.dim, replications, float(s)
     rule = build_rule(Q)
     counters = CostCounters()

@@ -14,8 +14,8 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from .analysis import log_gamma
-from .errors import _check_integer, _check_real
+from .analysis import _exp, log_gamma
+from .errors import _POSITIVE, _check_instance, _check_integer, _check_real, _real_array
 from .mlp_core import Problem
 
 __all__ = [
@@ -37,9 +37,8 @@ def heat_quadratic(dim: int, horizon: float, box_radius: float = 3.0) -> Problem
     coordinate constant is 2 * box_radius.
     """
     _check_integer("dim", dim, 1)
-    d, T, box_radius = int(dim), _check_real("horizon", horizon), _check_real("box_radius", box_radius)
-    if not (0 < T < math.inf and 0 < box_radius < math.inf):
-        raise ValueError(f"need finite horizon > 0 and box_radius > 0, got {horizon} and {box_radius}")
+    d, T = int(dim), _check_real("horizon", horizon, _POSITIVE)
+    box_radius = _check_real("box_radius", box_radius, _POSITIVE)
 
     def terminal(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -97,13 +96,9 @@ def manufactured_sine(
     error bounds stay finite and convergence is visible by level 4.
     """
     _check_integer("dim", dim, 1)
-    d, T = int(dim), _check_real("horizon", horizon)
-    if not 0 < T < math.inf:
-        raise ValueError(f"need finite horizon > 0, got {horizon}")
-    c = _check_real("c", 1.0 / d if c is None else c)
-    beta, gamma = _check_real("beta", beta), _check_real("gamma", gamma)
-    if not all(0 <= v < math.inf for v in (c, beta, gamma)):
-        raise ValueError(f"need finite c, beta, gamma >= 0, got {c}, {beta}, {gamma}")
+    d, T = int(dim), _check_real("horizon", horizon, _POSITIVE)
+    c = _check_real("c", 1.0 / d if c is None else c, 0.0)
+    beta, gamma = _check_real("beta", beta, 0.0), _check_real("gamma", gamma, 0.0)
     kappa = 0.5 * d * c * c
 
     def phase(t: float, x: np.ndarray) -> np.ndarray:
@@ -139,9 +134,7 @@ def manufactured_sine(
     sup_f0 = math.sqrt(1.0 + kappa * kappa) + beta * math.sin(1.0) + gamma * math.sin(min(c, 0.5 * math.pi))
     log_growth = math.log1p(kappa)
     log_amp = math.log1p(c * d)
-    deriv_ratio = max(
-        math.exp(k * log_growth + log_amp - 0.75 * log_gamma(k + 1)) for k in range(201)
-    )
+    deriv_ratio = _exp(max(k * log_growth + log_amp - 0.75 * log_gamma(k + 1) for k in range(201)))
 
     return Problem(
         horizon=T,
@@ -164,14 +157,17 @@ def pde_residual_fd(problem: Problem, t: float, x: np.ndarray, h: float = 1e-4) 
 
     Uses the exact solution's value component for the differences and
     its gradient component as the gradient argument of f.  ``x`` has
-    shape (L, d); t must satisfy h <= t <= horizon - h.
+    shape (L, d); t must satisfy h <= t <= horizon - h for a step h > 0.
     """
+    _check_instance("problem", problem, Problem)
     if problem.exact is None:
         raise ValueError("residual check requires an exact solution")
+    t, h = _check_real("t", t), _check_real("h", h, _POSITIVE)
     if not h <= t <= problem.horizon - h:
         raise ValueError(f"need h <= t <= horizon - h for central differences, got t={t}")
-    x = np.asarray(x, dtype=float)
-    d = problem.dim
+    x, d = _real_array("x", x), problem.dim
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"x must have shape (L, {d}), got {x.shape}")
 
     def value(tt: float, xx: np.ndarray) -> np.ndarray:
         return np.asarray(problem.exact(tt, xx), dtype=float)[..., 0]
@@ -222,6 +218,6 @@ PROBLEMS: Dict[str, ProblemSpec] = {
 
 def build_problem(name: str, dim: int, **overrides: float) -> Problem:
     """Instantiate a registered problem with parameter overrides."""
-    if name not in PROBLEMS:
+    if not (isinstance(name, str) and name in PROBLEMS):
         raise ValueError(f"unknown problem {name!r}; available: {sorted(PROBLEMS)}")
     return PROBLEMS[name].build(dim=dim, **overrides)

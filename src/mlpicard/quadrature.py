@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import log_gamma
-from .errors import EvaluationError, _check_integer
+from .errors import EvaluationError, _check_instance, _check_integer, _check_real
 
 __all__ = [
     "GaussLegendreRule",
@@ -45,17 +45,7 @@ MAX_CHAIN_ORDER = 10
 
 @dataclass(frozen=True)
 class GaussLegendreRule:
-    """Order-Q nodes and weights on the open reference interval (0, 1).
-
-    Attributes
-    ----------
-    order : int
-        Number of nodes Q.
-    nodes : np.ndarray
-        Strictly increasing nodes in (0, 1).
-    weights : np.ndarray
-        Strictly positive weights summing to 1.
-    """
+    """Order-Q rule on (0, 1): Q strictly increasing nodes in (0, 1) and positive weights summing to 1."""
 
     order: int
     nodes: np.ndarray
@@ -80,17 +70,8 @@ def build_rule(order: int) -> GaussLegendreRule:
     stopped at |step| < 1e-15.  Weights come from the classical formula
     w = 2 / ((1 - x^2) P_Q'(x)^2) on [-1, 1]; nodes map to (0, 1) via
     s = (x + 1) / 2 and weights are halved so they integrate over (0, 1).
-
-    Parameters
-    ----------
-    order : int
-        Rule order Q with 1 <= Q <= 64.  Beyond 64 the Newton start is
-        no longer reliably inside the convergence basin at double
-        precision, so larger orders are rejected.
-
-    Returns
-    -------
-    GaussLegendreRule
+    The order is an integer 1 <= Q <= 64: beyond 64 the Newton start is no
+    longer reliably inside the convergence basin at double precision.
     """
     _check_integer("order", order, 1, MAX_ORDER)
     return _cached_rule(int(order))
@@ -130,18 +111,15 @@ def scale_weight(rule: GaussLegendreRule, a: float, b: float, k: int) -> tuple[f
     Returns ``(a + c_k (b - a), (b - a) w_k)`` where ``(c_k, w_k)`` is the
     reference node/weight pair.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    if not 1 <= k <= rule.order:
-        raise ValueError(f"rank k must be in [1, {rule.order}], got {k}")
+    a, b = _check_interval(rule, a, b)
+    _check_integer("rank k", k, 1, rule.order)
     span = b - a
     return a + rule.nodes[k - 1] * span, span * rule.weights[k - 1]
 
 
 def integrate(rule: GaussLegendreRule, a: float, b: float, f: Callable[[float], float]) -> float:
     """Quadrature approximation of the integral of f over [a, b]."""
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
+    a, b = _check_interval(rule, a, b)
     span = b - a
     total = 0.0
     for c, w in zip(rule.nodes, rule.weights):
@@ -152,10 +130,19 @@ def integrate(rule: GaussLegendreRule, a: float, b: float, f: Callable[[float], 
     return total
 
 
+def _check_interval(rule: GaussLegendreRule, a: float, b: float) -> tuple[float, float]:
+    """``(a, b)`` as floats for a rule and a real interval a < b, else a ValueError naming the culprit."""
+    _check_instance("rule", rule, GaussLegendreRule)
+    a, b = _check_real("a", a), _check_real("b", b)
+    if not a < b:
+        raise ValueError(f"need a < b, got a={a}, b={b}")
+    return a, b
+
+
 def _check_chain_args(order: int, depth: int, t0: float, T: float) -> None:
     _check_integer("chain depth", depth, 1, MAX_CHAIN_DEPTH)
     _check_integer("chain order", order, 1, MAX_CHAIN_ORDER)
-    if not t0 < T:
+    if not _check_real("t0", t0) < _check_real("T", T):
         raise ValueError(f"need t0 < T, got t0={t0}, T={T}")
 
 
@@ -201,10 +188,10 @@ def iterated_gl_rhs(order: int, depth: int, t0: float, T: float) -> float:
 def frac_moment_sum(order: int, j: int) -> float:
     """Reference sum of w(s) (1 - s)^j / sqrt(s) over the rule's nodes.
 
-    Bounded above by Gamma(1/2) Gamma(j+1) / Gamma(j+3/2) for every order.
+    Bounded above by Gamma(1/2) Gamma(j+1) / Gamma(j+3/2) for every order
+    and every real j >= 0.
     """
-    if j < 0:
-        raise ValueError(f"need j >= 0, got {j}")
+    j = _check_real("j", j, 0.0)
     rule = build_rule(order)
     return float(np.sum(rule.weights * (1.0 - rule.nodes) ** j / np.sqrt(rule.nodes)))
 
@@ -215,13 +202,11 @@ def gl_error_factor(order: int, interval_length: float) -> float:
     Evaluated in log space: the factorials overflow double precision
     long before the factor itself stops being meaningful.
     """
-    if order < 1:
-        raise ValueError(f"need order >= 1, got {order}")
-    if interval_length < 0:
-        raise ValueError(f"need interval_length >= 0, got {interval_length}")
+    _check_integer("order", order, 1)
+    interval_length = _check_real("interval_length", interval_length, 0.0)
     if interval_length == 0.0:
         return 0.0
-    q = order
+    q = int(order)
     return math.exp(
         4.0 * log_gamma(q + 1)
         + (2 * q + 1) * math.log(interval_length)

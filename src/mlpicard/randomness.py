@@ -25,8 +25,6 @@ the path.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
@@ -35,7 +33,7 @@ from scipy.special import ndtri
 
 from . import _bits
 from ._bits import uniforms_from_states
-from .errors import _check_integer, _real_array
+from .errors import _check_integer, _check_real, _real_array
 
 __all__ = [
     "MultiIndex",
@@ -98,16 +96,24 @@ def state_for_key(seed: int, key: Iterable[int]) -> tuple[np.ndarray, np.ndarray
     """Fold (seed, key) into shape-(1,) state words; integer seed in [0, 2**64), labels as in derive_key."""
     _check_integer("seed", seed, 0, _MASK64)
     h0, h1 = _root_state(seed)
-    labels = derive_key((), key)
+    labels = _key("key", key)
     return _extend_state(h0, h1, *labels) if labels else (h0, h1)
+
+
+def _key(name: str, labels: Iterable[int]) -> MultiIndex:
+    """``labels`` as a tuple of Python ints; a ValueError names ``name`` or the label unless each is an int64."""
+    try:
+        labels = tuple(labels)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {labels!r}") from None
+    for label in labels:
+        _check_integer("multi-index label", label, -(2**63), 2**63 - 1)
+    return tuple(int(label) for label in labels)
 
 
 def derive_key(parent: Sequence[int], extension: Sequence[int]) -> MultiIndex:
     """Child key: the parent's labels followed by the extension's labels."""
-    out = tuple(parent) + tuple(extension)
-    for label in out:
-        _check_integer("multi-index label", label, -(2**63), 2**63 - 1)
-    return tuple(int(label) for label in out)
+    return _key("parent", parent) + _key("extension", extension)
 
 
 def _paths_numpy(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -> np.ndarray:
@@ -157,34 +163,16 @@ class PathIncrements:
 
 
 def sample_path(seed: int, key: Sequence[int], dimension: int, start: float, times: Sequence[float]) -> PathIncrements:
-    """Sample one keyed Brownian path at the given times.
+    """The Brownian path labelled by (64-bit seed, key) in dimension d >= 1, anchored at ``start``.
 
-    Parameters
-    ----------
-    seed : int
-        Global seed (64-bit).
-    key : sequence of int
-        Multi-index labelling the path.
-    dimension : int
-        Spatial dimension d >= 1.
-    start : float
-        Time the path is anchored at.
-    times : sequence of float
-        Strictly increasing observation times, all greater than ``start``.
-
-    Returns
-    -------
-    PathIncrements
-        Deterministic function of all arguments.
+    ``times`` are strictly increasing and all greater than ``start``; the
+    result is a deterministic function of all arguments.
     """
     _check_integer("dimension", dimension, 1)
-    if isinstance(start, bool) or not (isinstance(start, numbers.Real) and math.isfinite(start)):
-        raise ValueError(f"start must be a finite real number, got {start!r}")
+    start = _check_real("start", start)
     t = _real_array("times", times)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("times must be finite")
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("times must be strictly increasing")
     if not t[0] > start:
@@ -194,4 +182,4 @@ def sample_path(seed: int, key: Sequence[int], dimension: int, start: float, tim
     z = _standard_normals(h0, h1, t.size * dimension)[0].reshape(t.size, dimension)
     dt = np.diff(t, prepend=start)
     increments = z * np.sqrt(dt)[:, None]
-    return PathIncrements(dimension=dimension, start=float(start), times=t, increments=increments)
+    return PathIncrements(dimension=dimension, start=start, times=t, increments=increments)

@@ -290,7 +290,10 @@ def run_selfcheck(names: Optional[Iterable[str]] = None) -> list[CheckResult]:
     if names is None:
         selected = list(_CHECKS)
     else:
-        selected = list(names)
+        try:
+            selected = list(names)
+        except TypeError:
+            raise ValueError(f"names must be a sequence of check names, got {names!r}") from None
         if not selected:
             warnings.warn("self-check ran with an empty check list; nothing was verified")
             return []

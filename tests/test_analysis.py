@@ -136,6 +136,12 @@ def test_bound_guards():
         bound_nmq(_inputs(sup_u=float("inf")))
 
 
+def test_bound_beyond_the_float_range_is_inf():
+    # e^M alone overflows a double from M = 710 on; the log bound stays finite
+    assert math.isfinite(log_bound_nmq(_inputs(M=1000)))
+    assert bound_nmq(_inputs(M=1000)) == math.inf
+
+
 def test_bound_nnn_eventually_decays_to_zero():
     # in log space the diagonal bound grows until n is of the order of
     # (2 e C)^2 and then falls off like -(n/2) log n; check the tail

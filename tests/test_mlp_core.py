@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,6 +15,7 @@ from mlpicard.errors import BudgetError, ConfigError, EvaluationError
 from mlpicard.mlp_core import (
     CostCounters,
     Problem,
+    check_request,
     discrete_fk_residual,
     mc_l2_error,
     mlp_estimate,
@@ -484,12 +486,26 @@ def test_mc_l2_error_requires_exact_and_replications():
         mc_l2_error(problem, 1, 2, 2, 0.0, np.zeros(2), 10, seed=0)
     with pytest.raises(ValueError):
         mc_l2_error(heat_quadratic(2, 1.0), 1, 2, 2, 0.0, np.zeros(2), 1, seed=0)
-    for reps, threads, name in ((2.5, 1, "replications"), (True, 1, "replications"), (10, True, "threads"), (10, 2.0, "threads")):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+    for reps, threads, message in ((2.5, 1, "replications must be an integer >= 2, got 2.5"),
+                                   (True, 1, "replications must be an integer >= 2, got True"),
+                                   (10, True, "threads must be an integer in [1, 256], got True"),
+                                   (10, 2.0, "threads must be an integer in [1, 256], got 2.0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mc_l2_error(heat_quadratic(2, 1.0), 1, 2, 2, 0.0, np.zeros(2), reps, seed=0, threads=threads)
     numpy_ints = mc_l2_error(heat_quadratic(2, 1.0), np.int64(1), np.int32(2), np.int64(2), 0.0, np.zeros(2), np.int64(4), threads=np.int64(2))
     python_ints = mc_l2_error(heat_quadratic(2, 1.0), 1, 2, 2, 0.0, np.zeros(2), 4)
     assert np.array_equal(numpy_ints.estimates, python_ints.estimates)
+
+
+def test_request_caps_replications_and_threads():
+    # replication r becomes an int64 key label; each thread runs a chunk. Only the guard runs here.
+    problem, x = manufactured_sine(2), np.zeros(2)
+    check_request(problem, 1, 1, 1, 0.0, x, replications=2**63, threads=mlp_core.MAX_THREADS)
+    with pytest.raises(ValueError, match=r"^replications must be an integer in \[2, 9223372036854775808\], got 18446744073709551616$"):
+        check_request(problem, 1, 1, 1, 0.0, x, replications=2**64)
+    for threads in (mlp_core.MAX_THREADS + 1, 10**6):
+        with pytest.raises(ValueError, match=rf"^threads must be an integer in \[1, 256\], got {threads}$"):
+            check_request(problem, 1, 1, 1, 0.0, x, replications=2, threads=threads)
 
 
 def test_budget_guards():
@@ -521,10 +537,10 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         mlp_estimate(problem, 1, 2, 2, s=0.0, x=np.array([np.nan, 0.0]))
     for s in (None, "0.5", np.zeros(1), 0.5j, False):  # False would be s = 0.0
-        with pytest.raises(ValueError, match="^need a real s"):
+        with pytest.raises(ValueError, match=f"^s must be a finite real number >= 0.0, got {re.escape(repr(s))}$"):
             mlp_estimate(problem, 1, 2, 2, s=s, x=np.zeros(2))
     for x in (["a", "b"], [1 + 2j, 0], [None, 0.0], np.array([True, False])):
-        with pytest.raises(ValueError, match="^x must hold real numbers"):
+        with pytest.raises(ValueError, match=f"^x must hold finite real numbers, got {re.escape(repr(x))}$"):
             mlp_estimate(problem, 1, 2, 2, x=x)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,20 +147,22 @@ def test_builder_validation():
         for builder in (manufactured_sine, heat_quadratic):
             with pytest.raises(ValueError, match="^dim must be an integer"):
                 builder(dim, 1.0)
+    bounds = {"horizon": "> 0", "box_radius": "> 0", "c": ">= 0.0", "beta": ">= 0.0", "gamma": ">= 0.0"}
     for name in ("horizon", "c", "beta", "gamma"):
         for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"^need finite .*{name}"):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite real number {bounds[name]}, got {value!r}$"):
                 manufactured_sine(2, **{name: value})
     for name in ("horizon", "box_radius"):
         for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"^need finite .*{name}"):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite real number {bounds[name]}, got {value!r}$"):
                 heat_quadratic(2, **{"horizon": 1.0, name: value})
     assert heat_quadratic(np.int64(2), 1.0).dim == 2
     # a non-real or bool parameter is named, not compared first ("'<' not supported") or accepted
     for builder, name, value in ((manufactured_sine, "horizon", "1"), (heat_quadratic, "horizon", None),
                                  (manufactured_sine, "c", "0.5"), (heat_quadratic, "box_radius", "3"),
                                  (manufactured_sine, "beta", True), (manufactured_sine, "gamma", 1j)):
-        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}"):
+        message = f"{name} must be a finite real number {bounds[name]}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             builder(2, **{"horizon": 1.0, name: value})
     assert manufactured_sine(2, horizon=np.float32(0.5), c=1, beta=0).horizon == 0.5
     kwargs = dict(horizon=1.0, terminal=None, nonlinearity=None, lip_f=np.zeros(3), lip_g=np.zeros(2))
@@ -169,8 +172,9 @@ def test_builder_validation():
     assert Problem(dim=np.int64(2), **kwargs).dim == 2
     kwargs["dim"] = 2
     for horizon in (True, 0.0, math.inf, "1", None):  # True would be horizon 1.0
-        with pytest.raises(ValueError, match="^horizon must be positive"):
+        with pytest.raises(ValueError, match=f"^horizon must be a finite real number > 0, got {re.escape(repr(horizon))}$"):
             Problem(**{**kwargs, "horizon": horizon})
     for name in ("lip_f", "lip_g"):
-        with pytest.raises(ValueError, match=f"^{name} must hold real numbers"):
-            Problem(**{**kwargs, name: ["a"] * len(kwargs[name])})
+        value = ["a"] * len(kwargs[name])
+        with pytest.raises(ValueError, match=f"^{name} must hold finite real numbers >= 0.0, got {re.escape(repr(value))}$"):
+            Problem(**{**kwargs, name: value})

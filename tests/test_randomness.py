@@ -1,3 +1,4 @@
+import re
 import shutil
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_sample_path_validation():
         with pytest.raises(ValueError, match="^start must be a finite real number"):
             sample_path(0, (), 1, start, [2.0])
     for times in (["a", "b"], [1 + 2j, 2.0], [None]):
-        with pytest.raises(ValueError, match="^times must hold real numbers"):
+        with pytest.raises(ValueError, match=f"^times must hold finite real numbers, got {re.escape(repr(times))}$"):
             sample_path(0, (), 1, 0.0, times)
 
 
