@@ -189,10 +189,15 @@ def _exp(log_value: float) -> float:
         return math.inf
 
 
+# highest level of the cost recursions, whose work grows as n^2: the
+# estimator stops at level 6, the cost caps and tables at level 8
+MAX_COST_LEVEL = 64
+
+
 def _cost(n: int, M: int, Q: int, a: int, b: int) -> int:
     """C(n) of C(0) = 0, C(n) = a M^n + sum_{l<n} Q M^(n-l) (a + C(l) + [l>=1] (b + C(l-1)))."""
-    for name, value, low in (("n", n, 0), ("M", M, 1), ("Q", Q, 1)):
-        _check_integer(name, value, low)
+    for check in (("n", n, 0, MAX_COST_LEVEL), ("M", M, 1), ("Q", Q, 1)):
+        _check_integer(*check)
     n, M, Q = int(n), int(M), int(Q)  # Python integers, so M^n cannot wrap
     c = [0]
     for m in range(1, n + 1):
@@ -202,7 +207,7 @@ def _cost(n: int, M: int, Q: int, a: int, b: int) -> int:
 
 
 def cost_rn_exact(n: int, M: int, Q: int, d: int) -> int:
-    """Exact count of scalar Gaussian draws made by one level-n estimate.
+    """Exact count of scalar Gaussian draws made by one level-n estimate, for n <= ``MAX_COST_LEVEL``.
 
     Recursion: RN(0) = 0 and
     RN(n) = d M^n + sum_{l<n} Q M^(n-l) (d + RN(l) + [l>=1] RN(l-1)).
@@ -212,7 +217,7 @@ def cost_rn_exact(n: int, M: int, Q: int, d: int) -> int:
 
 
 def cost_fe_exact(n: int, M: int, Q: int) -> int:
-    """Exact count of f and g evaluations made by one level-n estimate.
+    """Exact count of f and g evaluations made by one level-n estimate, for n <= ``MAX_COST_LEVEL``.
 
     Recursion: FE(0) = 0 and
     FE(n) = M^n + sum_{l<n} Q M^(n-l) (1 + FE(l) + [l>=1] (1 + FE(l-1))).

@@ -20,7 +20,7 @@ import numpy as np
 from ._bits import uniforms_from_states
 from .analysis import BoundInputs, bound_nmq, cost_fe_exact, cost_rn_exact
 from .errors import BudgetError, ConfigError
-from .mlp_core import DEFAULT_MAX_LEVEL, CostCounters, Problem, check_request, mc_l2_error
+from .mlp_core import MAX_LEVEL, CostCounters, Problem, check_request, mc_l2_error
 from .problems import build_problem
 from .randomness import state_for_key
 from .selfcheck import run_selfcheck
@@ -239,7 +239,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     if args.diagonal is not None and args.level:
         raise ConfigError("--diagonal and --level are mutually exclusive")
     if args.diagonal is not None:  # N < 1 lists no level, which validate rejects; N > 7 stops at level 7 over budget
-        levels = [(k, k, k) for k in range(1, min(args.diagonal, DEFAULT_MAX_LEVEL + 1) + 1)]
+        levels = [(k, k, k) for k in range(1, min(args.diagonal, MAX_LEVEL + 1) + 1)]
     else:
         levels = [_parse_level(t) for t in args.level]
     config = ExperimentConfig(

@@ -63,9 +63,9 @@ __all__ = [
     "mlp_estimate",
 ]
 
-DEFAULT_MAX_LEVEL = 6
-DEFAULT_MAX_SAMPLES = 10**8
-DEFAULT_MAX_GAUSSIANS = 10**8
+# the request budget: highest level n, and scalar Gaussians per estimate
+MAX_LEVEL = 6
+MAX_GAUSSIANS = 10**8
 # most threads a request may run replication chunks on
 MAX_THREADS = 256
 
@@ -204,27 +204,22 @@ def check_request(
     key: Sequence[int] = (),
     replications: Optional[int] = None,
     threads: int = 1,
-    *,
-    max_level: int = DEFAULT_MAX_LEVEL,
-    max_gaussians: int = DEFAULT_MAX_GAUSSIANS,
 ) -> np.ndarray:
     """Return x as a float array if the request is well formed and within budget.
 
-    ValueError: not a Problem; n, M, Q, replications, threads, max_level or
-    max_gaussians not an integer of at least 0, 1, 1, 2, 1, 0 and 0, Q above
-    64, replications above 2^63 (replication r is an int64 key label) or
-    threads above ``MAX_THREADS``; s not a finite real in [0, horizon), x
-    not d finite reals, or a bad seed or key.  A bool is not a number.
-    BudgetError: n above ``max_level``, M^n above the sample cap, or
-    ``cost_rn_exact`` Gaussians per estimate above ``max_gaussians``.
+    ValueError: not a Problem; n, M, Q, replications or threads not an
+    integer of at least 0, 1, 1, 2 and 1, Q above 64, replications above
+    2^63 (replication r is an int64 key label) or threads above
+    ``MAX_THREADS``; s not a finite real in [0, horizon), x not d finite
+    reals, or a bad seed or key.  A bool is not a number.
+    BudgetError: n above ``MAX_LEVEL``, or ``cost_rn_exact`` Gaussians per
+    estimate above ``MAX_GAUSSIANS``.
     """
     _check_instance("problem", problem, Problem)
-    for check in (("n", n, 0), ("M", M, 1), ("Q", Q, 1, MAX_ORDER), ("threads", threads, 1, MAX_THREADS),
-                  ("max_level", max_level, 0), ("max_gaussians", max_gaussians, 0)):
+    for check in (("n", n, 0), ("M", M, 1), ("Q", Q, 1, MAX_ORDER), ("threads", threads, 1, MAX_THREADS)):
         _check_integer(*check)
     if replications is not None:
         _check_integer("replications", replications, 2, 2**63)
-    n, M, Q = int(n), int(M), int(Q)  # Python integers, so M^n cannot wrap
     if not _check_real("s", s, 0.0) < problem.horizon:
         raise ValueError(f"need s < horizon={problem.horizon}, got s={s!r}")
     x = _real_array("x", x)
@@ -232,15 +227,11 @@ def check_request(
         raise ValueError(f"x must have shape ({problem.dim},), got {x.shape}")
     _check_integer("seed", seed, 0, _MASK64)
     _key("key", key)
-    if n > max_level:
-        raise BudgetError(f"level n={n} exceeds the configured maximum {max_level}")
-    if M**n > DEFAULT_MAX_SAMPLES:
-        raise BudgetError(f"M^n = {M**n} exceeds the sample budget {DEFAULT_MAX_SAMPLES}")
+    if n > MAX_LEVEL:  # ahead of the cost recursion, so it never runs past MAX_LEVEL
+        raise BudgetError(f"level n={n} exceeds the configured maximum {MAX_LEVEL}")
     predicted = cost_rn_exact(n, M, Q, problem.dim)
-    if predicted > max_gaussians:
-        raise BudgetError(
-            f"predicted {predicted} scalar normal draws per estimate exceed the budget {max_gaussians}"
-        )
+    if predicted > MAX_GAUSSIANS:
+        raise BudgetError(f"predicted {predicted} scalar normal draws per estimate exceed the budget {MAX_GAUSSIANS}")
     return x
 
 
@@ -406,19 +397,17 @@ def mlp_estimate(
     s: float = 0.0,
     x=None,
     counters: Optional[CostCounters] = None,
-    *,
-    max_level: int = DEFAULT_MAX_LEVEL,
-    max_gaussians: int = DEFAULT_MAX_GAUSSIANS,
 ) -> Estimate:
     """One realization of the level-n value-and-gradient estimate at (s, x).
 
     n, M and Q are the Picard level, sample base and quadrature order, and
     ``key`` the root multi-index.  Pure function of (problem, n, M, Q, key,
     seed, s, x): repeated calls agree bitwise.  ``check_request`` checks the
-    request and its Gaussian count before any work happens.  ``counters``
-    accumulates the realized costs (fresh ones if omitted).
+    request against the fixed budget (``MAX_LEVEL``, ``MAX_GAUSSIANS``)
+    before any work happens.  ``counters`` accumulates the realized costs
+    (fresh ones if omitted).
     """
-    x = check_request(problem, n, M, Q, s, x, seed, key, max_level=max_level, max_gaussians=max_gaussians)
+    x = check_request(problem, n, M, Q, s, x, seed, key)
     counters = CostCounters() if counters is None else counters
     _check_instance("counters", counters, CostCounters)
     h0, h1 = state_for_key(seed, key)
@@ -489,9 +478,6 @@ def mc_l2_error(
     key: Sequence[int] = (),
     threads: int = 1,
     counters: Optional[CostCounters] = None,
-    *,
-    max_level: int = DEFAULT_MAX_LEVEL,
-    max_gaussians: int = DEFAULT_MAX_GAUSSIANS,
 ) -> ErrorReport:
     """Empirical L2 error of the level-n estimator against ``problem.exact``.
 
@@ -499,12 +485,12 @@ def mc_l2_error(
     and reports, per component, the root mean square deviation from the
     exact solution together with a jackknife standard error; the
     gradient summary is the sup over gradient components.  Results are
-    bitwise independent of ``threads``.
+    bitwise independent of ``threads``.  ``check_request`` checks the
+    request, within the same fixed budget per estimate as ``mlp_estimate``,
+    before any work happens.
     """
     _check_integer("replications", replications, 2)  # check_request reads None as a single estimate
-    x = check_request(
-        problem, n, M, Q, s, x, seed, key, replications, threads, max_level=max_level, max_gaussians=max_gaussians
-    )
+    x = check_request(problem, n, M, Q, s, x, seed, key, replications, threads)
     if problem.exact is None:
         raise ValueError("mc_l2_error requires a problem with an exact solution")
     counters = CostCounters() if counters is None else counters

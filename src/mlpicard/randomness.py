@@ -26,7 +26,7 @@ the path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -92,7 +92,7 @@ def _extend_state(h0: np.ndarray, h1: np.ndarray, *labels) -> tuple[np.ndarray, 
     return extend(h0, h1, labels)
 
 
-def state_for_key(seed: int, key: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+def state_for_key(seed: int, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Fold (seed, key) into shape-(1,) state words; integer seed in [0, 2**64), labels as in derive_key."""
     _check_integer("seed", seed, 0, _MASK64)
     h0, h1 = _root_state(seed)
@@ -100,12 +100,14 @@ def state_for_key(seed: int, key: Iterable[int]) -> tuple[np.ndarray, np.ndarray
     return _extend_state(h0, h1, *labels) if labels else (h0, h1)
 
 
-def _key(name: str, labels: Iterable[int]) -> MultiIndex:
-    """``labels`` as a tuple of Python ints; a ValueError names ``name`` or the label unless each is an int64."""
-    try:
-        labels = tuple(labels)
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence of integers, got {labels!r}") from None
+def _key(name: str, labels: Sequence[int]) -> MultiIndex:
+    """``labels`` as a tuple of Python ints; a ValueError names ``name`` or the label unless each is an int64.
+
+    A key is a sequence or a 1-d array: an iterator read here would reach
+    the caller's next use of the key empty, and a set or dict has no order.
+    """
+    if not (isinstance(labels, Sequence) or (isinstance(labels, np.ndarray) and labels.ndim == 1)):
+        raise ValueError(f"{name} must be a sequence of integers, got {labels!r}")
     for label in labels:
         _check_integer("multi-index label", label, -(2**63), 2**63 - 1)
     return tuple(int(label) for label in labels)

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import gammaln
 
 from mlpicard.analysis import (
+    MAX_COST_LEVEL,
     BoundInputs,
     binomial,
     bound_nmq,
@@ -207,6 +208,12 @@ def test_cost_guards():
         cost_rn_exact(2.5, 2, 2, 1)
     with pytest.raises(ValueError, match="^n must be an integer"):
         cost_fe_exact(True, 2, 2)
+    # the recursions' work grows as n^2, so n is capped well above every level the package uses
+    assert cost_fe_exact(MAX_COST_LEVEL, 1, 1) > cost_fe_exact(MAX_COST_LEVEL - 1, 1, 1)
+    with pytest.raises(ValueError, match=r"^n must be an integer in \[0, 64\], got 65$"):
+        cost_rn_exact(MAX_COST_LEVEL + 1, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"^n must be an integer in \[0, 64\], got 65$"):
+        cost_fe_exact(MAX_COST_LEVEL + 1, 1, 1)
 
 
 def _two_loop_costs(n, M, Q, d):

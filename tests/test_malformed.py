@@ -32,7 +32,6 @@ MALFORMED = {
 
 SINE = mp.manufactured_sine(2)
 POINT = dict(problem=SINE, n=1, M=1, Q=1, s=0.0, x=[0.0, 0.0], seed=0, key=())
-LIMITS = dict(max_level=6, max_gaussians=10**8)
 BOUND = dict(T=1.0, t0=0.0, lip_f_l1=1.0, lip_g_l1=1.0, sup_f0=1.0, sup_u=1.0, deriv_ratio=1.0, n=2, M=2, Q=2, alpha=0.25)
 PROBLEM = dict(horizon=1.0, dim=2, lip_f=np.zeros(3), lip_g=np.zeros(2), sup_f0=None, sup_u=None, deriv_ratio=None,
                box_radius=1.0)
@@ -52,14 +51,12 @@ CASES = [
      {"t0": {"negative"}, **{name: {"2**64"} for name in BOUND if name not in ("t0", "alpha")}}, {}),
     ("build_problem", mp.build_problem, dict(name="heat_quadratic", dim=2, horizon=1.0), {"horizon": {"2**64"}}, {}),
     ("build_rule", mp.build_rule, dict(order=3), {}, {}),
-    ("check_request", mp.check_request, dict(POINT, replications=2, threads=1, **LIMITS),
-     {"key": {"list"}, "replications": {"None"}, "max_level": {"2**64"}, "max_gaussians": {"2**64"}}, {}),
+    ("check_request", mp.check_request, dict(POINT, replications=2, threads=1),
+     {"key": {"list"}, "replications": {"None"}}, {}),
     ("constant_C", mp.constant_C, dict(T=1.0, t0=0.0, lip_f_l1=1.0),
      {"T": {"2**64"}, "t0": {"negative"}, "lip_f_l1": {"2**64"}}, {}),
-    # n = 2**64 is a valid level whose O(n^2) cost recursion would not finish
-    ("cost_fe_exact", mp.cost_fe_exact, dict(n=1, M=1, Q=1), {"M": {"2**64"}, "Q": {"2**64"}}, {"n": {"2**64"}}),
-    ("cost_rn_exact", mp.cost_rn_exact, dict(n=1, M=1, Q=1, d=1),
-     {"M": {"2**64"}, "Q": {"2**64"}, "d": {"2**64"}}, {"n": {"2**64"}}),
+    ("cost_fe_exact", mp.cost_fe_exact, dict(n=1, M=1, Q=1), {"M": {"2**64"}, "Q": {"2**64"}}, {}),
+    ("cost_rn_exact", mp.cost_rn_exact, dict(n=1, M=1, Q=1, d=1), {"M": {"2**64"}, "Q": {"2**64"}, "d": {"2**64"}}, {}),
     ("derive_key", mp.derive_key, dict(parent=(), extension=(1,)), {"parent": {"list"}, "extension": {"list"}}, {}),
     ("discrete_fk_residual", mp.discrete_fk_residual, dict(POINT, replications=2), {"key": {"list"}}, {}),
     ("frac_moment_sum", mp.frac_moment_sum, dict(order=3, j=1), {"j": {"2**64"}}, {}),
@@ -75,10 +72,9 @@ CASES = [
     ("log_gamma", mp.log_gamma, dict(x=2.0), {"x": {"2**64"}}, {}),
     ("manufactured_sine", mp.manufactured_sine, dict(dim=2, horizon=1.0, c=0.5, beta=0.5, gamma=0.5),
      {"horizon": {"2**64"}, "c": {"None"}, "beta": {"2**64"}, "gamma": {"2**64"}}, {}),
-    ("mc_l2_error", mp.mc_l2_error, dict(POINT, replications=2, threads=1, counters=None, **LIMITS),
-     {"key": {"list"}, "counters": {"None"}, "max_level": {"2**64"}, "max_gaussians": {"2**64"}}, {}),
-    ("mlp_estimate", mp.mlp_estimate, dict(POINT, counters=None, **LIMITS),
-     {"key": {"list"}, "counters": {"None"}, "max_level": {"2**64"}, "max_gaussians": {"2**64"}}, {}),
+    ("mc_l2_error", mp.mc_l2_error, dict(POINT, replications=2, threads=1, counters=None),
+     {"key": {"list"}, "counters": {"None"}}, {}),
+    ("mlp_estimate", mp.mlp_estimate, dict(POINT, counters=None), {"key": {"list"}, "counters": {"None"}}, {}),
     ("norm_log_subadditivity_check", mp.norm_log_subadditivity_check, dict(x=[1.0, -2.0], y=[0.5, 0.25], p=2, ord=2),
      {"p": {"2**64"}, "ord": {"+inf", "2**64"}}, {}),
     ("Problem fields", _problem, PROBLEM,

@@ -508,15 +508,24 @@ def test_request_caps_replications_and_threads():
             check_request(problem, 1, 1, 1, 0.0, x, replications=2, threads=threads)
 
 
-def test_budget_guards():
+def test_budget_guards(monkeypatch):
     problem = manufactured_sine(2)
     x = np.zeros(2)
     with pytest.raises(BudgetError):
         mlp_estimate(problem, 7, 2, 2, x=x)
     with pytest.raises(BudgetError):
-        mlp_estimate(problem, 6, 30, 2, x=x)  # M^n above the sample budget
+        mlp_estimate(problem, 6, 30, 2, x=x)  # cost_rn_exact >= d M^n = 1.5e9 Gaussians, above the budget
+    # the budget is fixed: no entry point takes a keyword that raises it
+    for keyword in ("max_level", "max_gaussians"):
+        with pytest.raises(TypeError):
+            mlp_estimate(problem, 3, 3, 3, x=x, **{keyword: 10**12})
+        with pytest.raises(TypeError):
+            mc_l2_error(problem, 1, 1, 1, 0.0, x, 2, **{keyword: 10**12})
+        with pytest.raises(TypeError):
+            check_request(problem, 1, 1, 1, 0.0, x, **{keyword: 10**12})
+    monkeypatch.setattr(mlp_core, "MAX_GAUSSIANS", 10)
     with pytest.raises(BudgetError):
-        mlp_estimate(problem, 3, 3, 3, x=x, max_gaussians=10)
+        mlp_estimate(problem, 3, 3, 3, x=x)
     with pytest.raises(ValueError):
         mlp_estimate(problem, -1, 2, 2, x=x)
     with pytest.raises(ValueError):
@@ -524,6 +533,22 @@ def test_budget_guards():
     for n, M, Q, name in ((2.5, 2, 2, "n"), (True, 2, 2, "n"), (2, 2.0, 2, "M"), (2, 2, "2", "Q"), (2, 2, False, "Q")):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             mlp_estimate(problem, n, M, Q, x=x)
+
+
+def test_keys_must_be_sequences():
+    # an iterator would pass the guard and then reach the sampler empty, giving the root key's estimate
+    problem, x = manufactured_sine(2), np.zeros(2)
+    calls = (
+        lambda: mlp_estimate(problem, 1, 1, 1, key=iter((5,)), x=x),
+        lambda: mc_l2_error(problem, 1, 1, 1, 0.0, x, 2, key=(k for k in (5,))),
+        lambda: discrete_fk_residual(problem, 1, 1, 1, 0.0, x, 2, key={5}),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^key must be a sequence of integers, got "):
+            call()
+    expected = mlp_estimate(problem, 2, 2, 2, key=(5, 7), x=x).components
+    for key in ([5, 7], range(5, 9, 2), np.array([5, 7])):
+        assert np.array_equal(mlp_estimate(problem, 2, 2, 2, key=key, x=x).components, expected)
 
 
 def test_domain_validation():
