@@ -31,7 +31,7 @@ from .mlp_core import (
     mc_l2_error,
     mlp_estimate,
 )
-from .problems import PROBLEMS, ProblemSpec, build_problem, heat_quadratic, manufactured_sine
+from .problems import PROBLEMS, build_problem, heat_quadratic, manufactured_sine
 from .quadrature import (
     GaussLegendreRule,
     build_rule,
@@ -62,7 +62,6 @@ __all__ = [
     "PROBLEMS",
     "PathIncrements",
     "Problem",
-    "ProblemSpec",
     "binomial",
     "bound_nmq",
     "bound_nnn",

@@ -1,6 +1,11 @@
 """Experiment driver: convergence studies and the self-check, with
 CSV/JSON output.
 
+``ExperimentConfig`` holds what a study samples; the output format and
+path go straight from ``--format`` and ``--out`` to ``write_rows``, and
+the seed comes from ``--seed`` (default 0).  Malformed input, an
+unusable ``--out`` included, exits 2 before any level is sampled.
+
 Exit codes: 0 success, 2 configuration error, 3 self-check failure,
 4 cost budget exceeded.
 """
@@ -55,16 +60,7 @@ class ExperimentConfig:
     replications: int = 100
     seed: int = 0
     threads: int = 1
-    out: Optional[str] = None
-    fmt: str = "csv"
     reproducible: bool = False
-
-    def validate(self) -> None:
-        """Fields the library never sees; the rest go through ``check_request``."""
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        if not self.levels:
-            raise ConfigError("no levels requested; pass --diagonal N or --level n,M,Q")
 
 
 def _resolve_x(config: ExperimentConfig, problem: Problem) -> np.ndarray:
@@ -104,7 +100,11 @@ def run_convergence(config: ExperimentConfig) -> list[dict]:
     function of the configuration, and wall_ms is written as 0 in
     reproducible mode so output files can be compared byte for byte.
     """
-    config.validate()
+    if not config.levels:
+        raise ConfigError("no levels requested; pass --diagonal N or --level n,M,Q")
+    clash = sorted({"dim", "name"} & set(config.params))
+    if clash:  # build_problem's own keywords, which --dim and --problem set
+        raise ConfigError(f"--param cannot set {clash}; use --dim and --problem")
     try:  # fail fast: every level passes the library guard before any sampling
         problem = build_problem(config.problem, dim=config.dim, **config.params)
         x = _resolve_x(config, problem)
@@ -156,13 +156,18 @@ def write_rows(rows: list[dict], fmt: str, out: Optional[str]) -> None:
         for row in rows:
             lines.append(",".join(str(row[c]) for c in COLUMNS))
         text = "\n".join(lines) + "\n"
-    else:
+    elif fmt == "json":
         text = json.dumps([{c: row[c] for c in COLUMNS} for row in rows], indent=2) + "\n"
+    else:
+        raise ConfigError(f"format must be csv or json, got {fmt!r}")
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _parse_param(text: str) -> tuple[str, float]:
@@ -195,18 +200,6 @@ def _parse_x(text: str):
         raise ConfigError(f"--x must be comma-separated numbers or 'random-in-box', got {text!r}") from exc
 
 
-def _resolve_seed(flag: Optional[int]) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("MLP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"MLP_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mlpicard", description="Multilevel Picard experiment driver")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -220,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--diagonal", type=int, default=None, metavar="N", help="levels n=M=Q for n=1..N")
     conv.add_argument("--level", action="append", default=[], metavar="n,M,Q", help="explicit level (repeatable)")
     conv.add_argument("--reps", type=int, default=100)
-    conv.add_argument("--seed", type=int, default=None, help="default: MLP_SEED env var, then 0")
+    conv.add_argument("--seed", type=int, default=0)
     conv.add_argument("--threads", type=int, default=1)
     conv.add_argument("--out", default=None, help="output path (default: stdout)")
     conv.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -238,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_converge(args: argparse.Namespace) -> int:
     if args.diagonal is not None and args.level:
         raise ConfigError("--diagonal and --level are mutually exclusive")
-    if args.diagonal is not None:  # N < 1 lists no level, which validate rejects; N > 7 stops at level 7 over budget
+    if args.out is not None and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise ConfigError(f"--out must name a file in an existing directory, got {args.out!r}")
+    if args.diagonal is not None:  # N < 1 lists no level, an error; N > 7 stops at level 7 over budget
         levels = [(k, k, k) for k in range(1, min(args.diagonal, MAX_LEVEL + 1) + 1)]
     else:
         levels = [_parse_level(t) for t in args.level]
@@ -250,14 +245,11 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         t0=args.t0,
         levels=levels,
         replications=args.reps,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         threads=args.threads,
-        out=args.out,
-        fmt=args.format,
         reproducible=args.reproducible,
     )
-    rows = run_convergence(config)
-    write_rows(rows, config.fmt, config.out)
+    write_rows(run_convergence(config), args.format, args.out)
     return 0
 
 
@@ -266,9 +258,6 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         results = run_selfcheck(args.only)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not results:
-        print("no checks selected (vacuous pass)")
-        return 0
     failed = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -8,8 +8,8 @@ compare it with the a-priori bound.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict
 
 import numpy as np
@@ -20,7 +20,6 @@ from .mlp_core import Problem
 
 __all__ = [
     "PROBLEMS",
-    "ProblemSpec",
     "build_problem",
     "heat_quadratic",
     "manufactured_sine",
@@ -28,7 +27,12 @@ __all__ = [
 ]
 
 
-def heat_quadratic(dim: int, horizon: float, box_radius: float = 3.0) -> Problem:
+def _finite(value: float) -> float | None:
+    """An analytic bound input, or None (bound "n/a") where it overflowed."""
+    return value if math.isfinite(value) else None
+
+
+def heat_quadratic(dim: int, horizon: float = 1.0, box_radius: float = 3.0) -> Problem:
     """Zero nonlinearity with quadratic terminal g(x) = |x|^2.
 
     Exact solution u(t, x) = |x|^2 + d (T - t) with gradient 2x.  The
@@ -56,7 +60,7 @@ def heat_quadratic(dim: int, horizon: float, box_radius: float = 3.0) -> Problem
 
     # all heat-operator images of u beyond k = 0 vanish, so the k = 0
     # sup over the box is both sup_u and the derivative ratio
-    k0 = max(d * box_radius**2 + d * T, 2.0 * box_radius)
+    k0 = _finite(max(d * (box_radius * box_radius) + d * T, 2.0 * box_radius))
     return Problem(
         horizon=T,
         dim=d,
@@ -134,7 +138,7 @@ def manufactured_sine(
     sup_f0 = math.sqrt(1.0 + kappa * kappa) + beta * math.sin(1.0) + gamma * math.sin(min(c, 0.5 * math.pi))
     log_growth = math.log1p(kappa)
     log_amp = math.log1p(c * d)
-    deriv_ratio = _exp(max(k * log_growth + log_amp - 0.75 * log_gamma(k + 1) for k in range(201)))
+    deriv_ratio = _finite(_exp(max(k * log_growth + log_amp - 0.75 * log_gamma(k + 1) for k in range(201))))
 
     return Problem(
         horizon=T,
@@ -144,7 +148,7 @@ def manufactured_sine(
         lip_f=lip_f,
         lip_g=np.full(d, c),
         exact=exact,
-        sup_f0=sup_f0,
+        sup_f0=_finite(sup_f0),
         sup_u=max(1.0, c),
         deriv_ratio=deriv_ratio,
         box_radius=1.0,
@@ -185,39 +189,18 @@ def pde_residual_fd(problem: Problem, t: float, x: np.ndarray, h: float = 1e-4) 
     return du_dt + 0.5 * lap + fval
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Named problem family: defaults plus a builder keyed by parameter name."""
-
-    name: str
-    defaults: Dict[str, float]
-    builder: Callable[..., Problem]
-
-    def build(self, dim: int, **overrides: float) -> Problem:
-        params = dict(self.defaults)
-        unknown = set(overrides) - set(params)
-        if unknown:
-            raise ValueError(f"unknown parameters for {self.name}: {sorted(unknown)}")
-        params.update(overrides)
-        return self.builder(dim=dim, **params)
-
-
-PROBLEMS: Dict[str, ProblemSpec] = {
-    "heat_quadratic": ProblemSpec(
-        name="heat_quadratic",
-        defaults={"horizon": 1.0, "box_radius": 3.0},
-        builder=heat_quadratic,
-    ),
-    "manufactured_sine": ProblemSpec(
-        name="manufactured_sine",
-        defaults={"horizon": 1.0, "c": None, "beta": 0.5, "gamma": 0.5},
-        builder=manufactured_sine,
-    ),
+PROBLEMS: Dict[str, Callable[..., Problem]] = {
+    "heat_quadratic": heat_quadratic,
+    "manufactured_sine": manufactured_sine,
 }
 
 
 def build_problem(name: str, dim: int, **overrides: float) -> Problem:
-    """Instantiate a registered problem with parameter overrides."""
+    """Instantiate a registered problem; the overrides are its builder's keywords."""
     if not (isinstance(name, str) and name in PROBLEMS):
         raise ValueError(f"unknown problem {name!r}; available: {sorted(PROBLEMS)}")
-    return PROBLEMS[name].build(dim=dim, **overrides)
+    builder = PROBLEMS[name]
+    unknown = set(overrides) - set(inspect.signature(builder).parameters)  # dim is build_problem's own keyword
+    if unknown:
+        raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
+    return builder(dim=dim, **overrides)

@@ -11,7 +11,6 @@ or cost plumbing surfaces here.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
 
@@ -283,10 +282,7 @@ def available_checks() -> tuple[str, ...]:
 
 
 def run_selfcheck(names: Optional[Iterable[str]] = None) -> list[CheckResult]:
-    """Run the named checks (all by default) and collect their results.
-
-    An explicitly empty selection is a vacuous pass and emits a warning.
-    """
+    """Run the named checks (all by default) and collect their results."""
     if names is None:
         selected = list(_CHECKS)
     else:
@@ -294,11 +290,8 @@ def run_selfcheck(names: Optional[Iterable[str]] = None) -> list[CheckResult]:
             selected = list(names)
         except TypeError:
             raise ValueError(f"names must be a sequence of check names, got {names!r}") from None
-        if not selected:
-            warnings.warn("self-check ran with an empty check list; nothing was verified")
-            return []
         unknown = [name for name in selected if name not in _CHECKS]
-        if unknown:
+        if unknown or not selected:
             raise ValueError(f"unknown checks: {unknown}; available: {sorted(_CHECKS)}")
     results = []
     for name in selected:

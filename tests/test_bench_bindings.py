@@ -7,13 +7,15 @@ benchmark without failing any test of the package, so this test imports
 those files read-only, as ``bench/tests`` does, and drives them.
 """
 
+import contextlib
+import io
 import os
 import sys
 from unittest import mock
 
 import numpy as np
 
-from mlpicard import cli, mlp_core
+from mlpicard import cli, mlp_core, problems
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -24,8 +26,12 @@ from tracing import Tracer, cold_build_rule_ms  # noqa: E402
 
 def test_benchmark_bindings_trace_a_point_and_a_study():
     tracer = Tracer()
-    problem = tracer.wrap_problem(cli.build_problem("manufactured_sine", dim=2))
-    config = cli.ExperimentConfig(problem="manufactured_sine", dim=2, levels=[(2, 2, 2)], replications=2, seed=1)
+    params = {"c": 0.5, "beta": 0.5, "gamma": 0.5}
+    # workloads.Runner builds its problem with dim by keyword and the workload's params
+    problem = tracer.wrap_problem(problems.build_problem("manufactured_sine", dim=2, **params))
+    # every keyword bench/workloads.py and bench/run.py pass to the config
+    config = cli.ExperimentConfig(problem="manufactured_sine", dim=2, params=dict(params), x=[0.25, -0.5],
+                                  levels=[(2, 2, 2)], replications=2, seed=1, threads=1, reproducible=True)
     build = cli.build_problem
     # workloads.Runner rebinds cli.build_problem to wrap the problem a study builds
     wrapped_build = mock.patch.object(cli, "build_problem", lambda *a, **k: tracer.wrap_problem(build(*a, **k)))
@@ -35,6 +41,11 @@ def test_benchmark_bindings_trace_a_point_and_a_study():
         # _replication_batch's rep_lo and rep_hi (arguments 7 and 8) count the replications
         (row,) = cli.run_convergence(config)
     assert [c for c in cli.COLUMNS if c not in row] == []
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        cli.write_rows([row], "csv", None)  # as run.determinism_gate writes its CSV
+    assert text.getvalue().splitlines() == [",".join(cli.COLUMNS), ",".join(str(row[c]) for c in cli.COLUMNS)]
+    assert row["wall_ms"] == 0.0
 
     work = {}
     for span in tracer.spans:

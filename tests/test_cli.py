@@ -1,12 +1,12 @@
 import csv
 import json
-import warnings
 
 import pytest
 
 import mlpicard.mlp_core as mlp_core
 import mlpicard.quadrature as quadrature
-from mlpicard.cli import COLUMNS, main
+from mlpicard.cli import COLUMNS, main, write_rows
+from mlpicard.errors import ConfigError
 from mlpicard.selfcheck import available_checks, run_selfcheck
 
 
@@ -162,7 +162,7 @@ def test_stdout_output_when_no_out_path(capsys):
     assert len(out.splitlines()) == 2
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(converge_args(out, "--param", "beta")) == 2  # malformed key=value
     assert main(["converge", "--problem", "nope", "--level", "1,2,2", "--out", str(out)]) == 2
@@ -179,6 +179,9 @@ def test_config_errors_exit_2(tmp_path):
     assert main(converge_args(out, "--level", "3,3,70")) == 2  # Q above 64
     assert main(converge_args(out, "--param", "c=nan")) == 2
     assert main(converge_args(out, "--problem", "heat_quadratic", "--param", "box_radius=inf")) == 2
+    for key in ("dim", "name"):  # build_problem's own keywords
+        assert main(converge_args(out, "--param", f"{key}=3")) == 2
+        assert f"--param cannot set ['{key}']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -194,35 +197,44 @@ def test_bad_level_fails_before_any_sampling(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_unusable_out_fails_before_any_sampling(tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a level was sampled before --out was checked")
+
+    monkeypatch.setattr("mlpicard.cli.mc_l2_error", no_sampling)
+    assert main(converge_args(tmp_path / "missing" / "x.csv")) == 2
+    assert main(converge_args(tmp_path)) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_rows_checks_format_and_path(tmp_path):
+    with pytest.raises(ConfigError, match="^format must be csv or json, got 'xml'$"):
+        write_rows([], "xml", None)
+    with pytest.raises(ConfigError, match="^cannot write"):
+        write_rows([], "csv", str(tmp_path))
+
+
+def test_overflowing_bound_inputs_run_with_bound_na(tmp_path):
+    out = tmp_path / "x.csv"
+    base = ["converge", "--level", "1,1,1", "--reps", "2", "--out", str(out)]
+    heat, sine = ["--problem", "heat_quadratic", "--param", "box_radius=1e200"], ["--dim", "8000", "--param", "c=0.5"]
+    for extra in (heat, sine):
+        assert main(base + extra) == 0
+        assert [row["bound"] for row in read_rows(out)] == ["n/a"]
+
+
 def test_budget_exceeded_exits_4(tmp_path):
     out = tmp_path / "x.csv"
     assert main(converge_args(out, "--level", "8,8,8")) == 4
     assert not out.exists()
 
 
-def test_seed_environment_precedence(tmp_path, monkeypatch):
-    env_run, flag_run, default_run = tmp_path / "e.csv", tmp_path / "f.csv", tmp_path / "d.csv"
-    base = [
-        "converge",
-        "--problem",
-        "manufactured_sine",
-        "--dim",
-        "1",
-        "--level",
-        "1,2,2",
-        "--reps",
-        "24",
-        "--reproducible",
-    ]
-    monkeypatch.setenv("MLP_SEED", "5")
-    assert main(base + ["--out", str(env_run)]) == 0
-    assert main(base + ["--out", str(flag_run), "--seed", "9"]) == 0
-    monkeypatch.delenv("MLP_SEED")
-    assert main(base + ["--out", str(default_run), "--seed", "5"]) == 0
-    assert env_run.read_bytes() == default_run.read_bytes()
-    assert env_run.read_bytes() != flag_run.read_bytes()
-    monkeypatch.setenv("MLP_SEED", "not-a-number")
-    assert main(base + ["--out", str(env_run)]) == 2
+def test_seed_defaults_to_zero(tmp_path):
+    default_run, zero_run = tmp_path / "d.csv", tmp_path / "z.csv"
+    base = ["converge", "--dim", "1", "--level", "1,2,2", "--reps", "24", "--reproducible"]
+    assert main(base + ["--out", str(default_run)]) == 0
+    assert main(base + ["--out", str(zero_run), "--seed", "0"]) == 0
+    assert default_run.read_bytes() == zero_run.read_bytes()
 
 
 def test_selfcheck_passes_on_fresh_build(capsys):
@@ -238,12 +250,9 @@ def test_selfcheck_only_filter(capsys):
     assert main(["selfcheck", "--only", "no-such-check"]) == 2
 
 
-def test_selfcheck_empty_selection_is_vacuous_with_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results = run_selfcheck([])
-    assert results == []
-    assert any("nothing was verified" in str(w.message) for w in caught)
+def test_selfcheck_empty_selection_is_an_error():
+    with pytest.raises(ValueError, match="^unknown checks: \\[\\]; available: "):
+        run_selfcheck([])
 
 
 def test_selfcheck_detects_perturbed_scaling(monkeypatch, capsys):

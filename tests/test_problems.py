@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from mlpicard import cli
 from mlpicard.mlp_core import Problem
 from mlpicard.problems import (
     PROBLEMS,
@@ -130,10 +131,32 @@ def test_registry_and_overrides():
     problem = build_problem("manufactured_sine", dim=4, beta=0.0)
     assert problem.lip_f[0] == 0.0
     assert problem.lip_g[0] == pytest.approx(0.25)  # default c = 1/dim
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("unknown parameters for manufactured_sine: ['nope']")):
         build_problem("manufactured_sine", dim=2, nope=1.0)
+    with pytest.raises(ValueError, match=re.escape("unknown parameters for heat_quadratic: ['c']")):
+        build_problem("heat_quadratic", dim=2, c=1.0)
     with pytest.raises(ValueError):
         build_problem("unknown", dim=2)
+
+
+def test_registry_defaults_are_the_builders():
+    fields = ("horizon", "lip_f", "lip_g", "sup_f0", "sup_u", "deriv_ratio", "box_radius")
+    for name, builder in PROBLEMS.items():
+        for d in (1, 2, 10):
+            built, direct = build_problem(name, d), builder(d)
+            for field in fields:
+                assert np.array_equal(getattr(built, field), getattr(direct, field)), (name, d, field)
+
+
+def test_overflowing_bound_inputs_read_none():
+    # box_radius**2 used to raise OverflowError; deriv_ratio overflowed to inf and failed Problem's check
+    heat = heat_quadratic(2, 1.0, box_radius=1e200)
+    sine = build_problem("manufactured_sine", dim=8000, c=0.5)
+    assert (heat.sup_f0, heat.sup_u, heat.deriv_ratio) == (0.0, None, None)
+    assert sine.deriv_ratio is None and math.isfinite(sine.sup_f0)
+    assert manufactured_sine(2, c=1e200).sup_f0 is None
+    for problem in (heat, sine):
+        assert cli._bound_for(problem, 2, 2, 2, 0.0) == "n/a"
 
 
 def test_builder_validation():
