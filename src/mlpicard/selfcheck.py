@@ -185,7 +185,7 @@ def _check_cost_model() -> tuple[bool, str]:
 def _check_bit_kernel() -> tuple[bool, str]:
     """Compiled paths, states, ndtri and node-group entries against the numpy/scipy reference, bitwise."""
     if _bits._KERNEL is None:
-        return True, "numpy fallback runs (no compiled kernel loaded); nothing to compare"
+        return True, f"numpy fallback runs ({_bits._FALLBACK_REASON or 'kernel switched off'}); nothing to compare"
     rng = np.random.default_rng(41)
     for lanes, B, Q, d in ((0, 1, 1, 1), (1, 1, 1, 3), (7, 7, 3, 2), (600, 3, 4, 10)):
         h0, h1 = rng.integers(0, 2**64, size=(2, lanes), dtype=np.uint64)
@@ -214,10 +214,10 @@ def _check_bit_kernel() -> tuple[bool, str]:
     # all three ndtri branches, the far tail (u < exp(-32)) and both ends
     u = np.concatenate([np.exp(-np.linspace(0.0, 700.0, 2001)), 1.0 - np.exp(-np.linspace(0.0, 36.0, 2001))])
     z = np.empty_like(u)
-    _bits._KERNEL.ndtri_array(_bits._address(u), u.size, _bits._address(z))
+    _bits._KERNEL.ndtri_array(u, z)
     if not np.array_equal(z, ndtri(u)):
         return False, "ndtri differs from scipy.special.ndtri"
-    isa = _bits._KERNEL.kernel_isa().decode()
+    isa = _bits._KERNEL.kernel_isa()
     return True, (
         f"compiled kernel runs ({isa} clone); paths, states, ndtri, shifted points, node sums and node terms "
         "equal the numpy/scipy reference bitwise"

@@ -1,12 +1,15 @@
 import re
 import shutil
+import sysconfig
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
-from mlpicard import _bits
+from mlpicard import _bits, selfcheck
 from mlpicard._bits import uniforms_from_states
 from mlpicard.randomness import (
     _extend_numpy,
@@ -188,7 +191,7 @@ def _random_states(rng, shape):
 def _kernel_map(name, values):
     """Doubles from the kernel's elementwise test entry ``name``."""
     out = np.empty(values.shape)
-    getattr(_bits._KERNEL, name)(values.ctypes.data, values.size, out.ctypes.data)
+    getattr(_bits._KERNEL, name)(values, out)
     return out
 
 
@@ -221,8 +224,8 @@ def test_default_build_matches_dispatched_clone(tmp_path, monkeypatch):
     attr = '#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))'
     assert _bits._C_SOURCE.count(attr) == 1
     default = _bits._load_kernel(str(tmp_path), _bits._C_SOURCE.replace(attr, ""))
-    assert default.kernel_isa() == b"default"
-    assert _bits._KERNEL.kernel_isa() in (b"avx512f", b"avx2", b"default")
+    assert default is not _bits._KERNEL and default.kernel_isa() == "default"
+    assert _bits._KERNEL.kernel_isa() in ("avx512f", "avx2", "default")
     rng = np.random.default_rng(31)
     # (lanes, B, Q, d): the benchmark shapes, one-value lanes, odd Q * d, and
     # 511 / 513 / 1026 values around the 512-value chunk
@@ -238,7 +241,7 @@ def test_default_build_matches_dispatched_clone(tmp_path, monkeypatch):
         assert got.tobytes() == want.tobytes(), (lanes, B, Q, d)
     u = np.concatenate([[0.0, 1.0, 2.0**-54, 1.0 - 2.0**-53], rng.uniform(size=1000), np.exp(-rng.uniform(2, 700, 1000))])
     z = np.empty_like(u)
-    default.ndtri_array(u.ctypes.data, u.size, z.ctypes.data)
+    default.ndtri_array(u, z)
     assert z.tobytes() == _kernel_map("ndtri_array", u).tobytes()
 
 
@@ -297,18 +300,33 @@ def test_compiled_key_states_match_numpy_chain():
 
 
 def test_kernel_build_failure_falls_back_to_numpy(tmp_path, monkeypatch):
+    # each failure raises ImportError with its reason and leaves no partial library behind;
+    # the include path points at a stand-in Python.h, and then at an empty directory
+    headers = tmp_path / "include"
+    headers.mkdir()
+    (headers / "Python.h").write_text("")
+    monkeypatch.setattr(sysconfig, "get_path", lambda name, *args, **kwargs: str(headers))
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     cc = bin_dir / "cc"
-    cc.write_text("#!/bin/sh\nexit 1\n")
+    cc.write_text("#!/bin/sh\necho 'fatal error: out of cheese' >&2\nexit 1\n")
     cc.chmod(0o755)
     monkeypatch.setenv("PATH", str(bin_dir))
-    assert _bits._load_kernel(str(tmp_path / "cache")) is None
-    assert list((tmp_path / "cache").iterdir()) == []  # no partial library left behind
+    with pytest.raises(ImportError, match="cc failed: fatal error: out of cheese"):
+        _bits._load_kernel(str(tmp_path / "cache"))
+    assert list((tmp_path / "cache").iterdir()) == []
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))
-    assert _bits._load_kernel(str(tmp_path / "cache")) is None
+    with pytest.raises(ImportError, match="no C compiler"):
+        _bits._load_kernel(str(tmp_path / "cache"))
     (tmp_path / "file").write_text("")
-    assert _bits._load_kernel(str(tmp_path / "file" / "cache")) is None
+    with pytest.raises(ImportError, match="cannot write the kernel cache"):
+        _bits._load_kernel(str(tmp_path / "file" / "cache"))
+    (headers / "Python.h").unlink()
+    with pytest.raises(ImportError, match="no Python.h"):
+        _bits._load_kernel(str(tmp_path / "cache"))
+    assert list((tmp_path / "cache").iterdir()) == []
+    monkeypatch.undo()
+    monkeypatch.setattr(_bits, "_FALLBACK_REASON", "no Python.h in /nowhere")
 
     rng = np.random.default_rng(5)
     h0, h1 = _random_states(rng, (4, 3))
@@ -327,6 +345,83 @@ def test_kernel_build_failure_falls_back_to_numpy(tmp_path, monkeypatch):
     )
     for got, want in zip(fallback, expected):
         assert got.shape == want.shape and np.array_equal(got, want)
+    ok, message = selfcheck._check_bit_kernel()
+    assert ok and "numpy fallback runs (no Python.h in /nowhere)" in message
+
+
+def test_kernel_entries_guard_their_buffers():
+    # a wrong item type, a strided view, a short buffer or a read-only output
+    # raises before any loop runs, and leaves the output untouched
+    _require_kernel()
+    k = _bits._KERNEL
+    u64, f64, i64 = np.arange(24, dtype=np.uint64), np.linspace(0.1, 0.9, 48), np.arange(24, dtype=np.int64)
+    # entry -> (arrays, sizes, index of the output among the arrays); each call is valid as given
+    valid = {
+        "units_from_words": ([u64, np.empty(24)], [], 1),
+        "ndtri_array": ([f64, np.empty(48)], [], 1),
+        "brownian_paths": ([u64[:6], u64[6:12], f64[:6], np.empty(6 * 3 * 4)], [2, 3, 4], 3),
+        "extend_states": ([u64[:6], u64[6:12], (1, 2), i64[:4], np.empty(2 * 6 * 4, dtype=np.uint64)], [6, 1], 4),
+        "node_sums": ([f64[:12], f64, np.empty(6), np.empty(12)], [2, 3, 2, 4, 2, 1], 2),
+        "shifted_points": ([f64[:6], f64, np.empty(24)], [2, 3, 4, 2, 1, 2], 2),
+        "node_terms": ([f64[:12], f64, f64[:4], f64[4:8], f64[:1], np.zeros(9)], [2, 3, 2, 4, 2, 1, 0], 5),
+    }
+    for name, (arrays, sizes, at) in valid.items():
+        getattr(k, name)(*arrays, *sizes)
+        buffers = [i for i, a in enumerate(arrays) if isinstance(a, np.ndarray)]
+        for i in buffers:
+            a = arrays[i]
+            wrong_type = a.astype(np.float64 if a.dtype != np.float64 else np.uint64)
+            strided = np.empty(2 * a.size, a.dtype)[::2]  # a one-item view counts as contiguous
+            short = a[:-1].copy()
+            for bad in (wrong_type, short, a.tolist()) + ((strided,) if a.size > 1 else ()):
+                args = arrays[:i] + [bad] + arrays[i + 1 :]
+                before = arrays[at].copy()
+                with pytest.raises((TypeError, ValueError)):
+                    getattr(k, name)(*args, *sizes)
+                assert arrays[at].tobytes() == before.tobytes(), (name, i)
+        out = arrays[at].copy()
+        out.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(k, name)(*arrays[:at], out, *arrays[at + 1 :], *sizes)
+        if sizes:  # a size that does not match the buffers, and a negative one
+            for bad in ([s + 1 for s in sizes], [-1] + sizes[1:]):
+                with pytest.raises(ValueError):
+                    getattr(k, name)(*arrays, *bad)
+        with pytest.raises(TypeError):
+            getattr(k, name)(*(arrays + sizes)[:-1])  # an argument short
+    with pytest.raises(ValueError, match="outer product"):
+        k.extend_states(u64[:6], u64[6:12], (np.arange(2),), i64[:4], np.empty(48, dtype=np.uint64), 6, 1)
+
+
+def test_kernel_releases_the_gil():
+    # a second thread keeps stamping the clock while one long path draw runs;
+    # a call that held the GIL would leave no stamp inside its window
+    _require_kernel()
+    lanes, Q, d = 12288, 16, 16  # about 3 million Gaussians, some 60 ms of kernel work
+    h0, h1 = _random_states(np.random.default_rng(2), (lanes,))
+    scales, out = np.ones((1, Q)), np.empty(lanes * Q * d)
+    stamps, stop = [], threading.Event()
+
+    def stamp():
+        while not stop.is_set():
+            stamps.append(time.perf_counter())
+
+    worker = threading.Thread(target=stamp)
+    worker.start()
+    try:
+        while not stamps:
+            time.sleep(0.001)
+        windows = []
+        for _ in range(3):
+            start = time.perf_counter()
+            _bits._KERNEL.brownian_paths(h0, h1, scales, out, 1, Q, d)
+            windows.append((start, time.perf_counter()))
+    finally:
+        stop.set()
+        worker.join()
+    # stamps in the middle half of a call: not the edges, where the GIL may change hands
+    inside = [t for a, b in windows for t in stamps if a + (b - a) / 4 < t < b - (b - a) / 4]
+    assert inside, [b - a for a, b in windows]
 
 
 def _philox_reference(h0: int, h1: int, block: int) -> tuple[int, int]:
