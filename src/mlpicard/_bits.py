@@ -10,13 +10,16 @@ sampler reproducible under batching and threading.
 
 One C source, compiled at import by the system ``cc`` against the
 Python headers into a CPython extension module in ``__pycache__``
-(later imports load the cached module), holds the hot loops.  Each
-entry takes its arrays through the buffer protocol, checks their item
-type, contiguity and length in C, and releases the GIL around its loop,
-so replication threads overlap.  It fuses the whole Gaussian path draw
-into passes over chunks of 512 values: the Philox blocks of the chunk's
-lane segments in one counted loop into a word buffer, the words to
-doubles, then the
+(later imports load the cached module; a build removes those it
+replaces), holds the hot loops.  That module is ``_KERNEL``, whose
+entries :mod:`mlpicard.randomness` and :mod:`mlpicard.mlp_core` call
+directly, each with a numpy reference beside it that takes the same
+arguments.  An entry takes its inputs, the outputs its caller allocated
+and the sizes, checks each buffer's item type, contiguity and length in
+C, and releases the GIL around its loop, so replication threads
+overlap.  The kernel fuses the whole Gaussian path draw into passes over
+chunks of 512 values: the Philox blocks of the chunk's lane segments in
+one counted loop into a word buffer, the words to doubles, then the
 inverse normal CDF -- a port of cephes ``ndtri`` (Moshier), which scipy
 runs, evaluated as passes over arrays: the central rational for every
 value, then the tail values (beyond exp(-2)) gathered and run through
@@ -29,24 +32,26 @@ attribute builds the default only.  The kernel also derives key states
 (the SplitMix64 absorb chain of :mod:`mlpicard.randomness`) for a whole
 outer product of states and labels in one call, and does the array work
 of a node group of ``mlp_core._mlp_batch``: it writes the group's
-shifted points x + dW as one contiguous array, and it sums f and f * dW
-over the sample axis in numpy's order and adds each node's weighted
-term into the estimate, node by node, with numpy's operations.
+shifted points x + dW as one contiguous array, and it adds each node's
+weighted term into the estimate, node by node, with numpy's operations,
+after summing f and f * dW over the sample axis in numpy's order, as it
+also does for the terminal term.
 Every clone is built with ``-ffp-contract=off``, no fast-math and the
 scalar libm ``log``, so no fused multiply-add or vector approximation
 changes a rounding: every result is bit-identical to the numpy/scipy
-reference, which runs instead when there is no compiler, no
+references, which run instead when there is no compiler, no
 ``Python.h`` or no writable cache (``_FALLBACK_REASON`` says which),
 and which the tests compare against.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.machinery
 import importlib.util
-import math
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -332,10 +337,10 @@ INLINE void lane_sums(const double *f, const double *dw, int64_t m, int64_t B, i
         }
 }
 
-void node_sums(const double *f, const double *dw, int64_t m, int64_t B, int64_t g, int64_t Q, int64_t d,
-               int64_t k0, double *sf, double *sfw)
+/* sf[b] = sum over i of f[i, b] and sfw[b, c] = sum over i of f[i, b] * dw[i, b, c], f (m, B) and dw (m, B, d) */
+void node_sums(const double *f, const double *dw, int64_t m, int64_t B, int64_t d, double *sf, double *sfw)
 {
-    lane_sums(f, dw, m, B, g, Q, d, k0, 0, B, sf, sfw);
+    lane_sums(f, dw, m, B, 1, 1, d, 0, 0, B, sf, sfw);
 }
 
 /* row (i * B + b) * g + j of y = x[b] + dw[i, b, k0 + j], for x (B, d) and dw (m, B, Q, d) */
@@ -349,7 +354,7 @@ void shifted_points(const double *x, const double *dw, int64_t m, int64_t B, int
 }
 
 /* out[b, 0] += w * sf[b, j] and out[b, 1 + c] += (w / (nodes[k] - s)) * sfw[b, j, c], w = weights[k] / m, for
-   k = k0 + j in order, with the sums of node_sums taken lane by lane: numpy's operations.  weights and nodes
+   k = k0 + j in order, with the sums of lane_sums taken lane by lane: numpy's operations.  weights and nodes
    are (Q,) and s (1,), or (B, Q) and (B,) with lane = 1.  Returns -1 if the sums cannot be allocated. */
 int node_terms(const double *f, const double *dw, int64_t m, int64_t B, int64_t g, int64_t Q, int64_t d, int64_t k0,
                const double *weights, const double *nodes, const double *s, int64_t lane, double *out)
@@ -512,7 +517,7 @@ ENTRY(ndtri_array)
     return finish(v, 2, ok);
 }
 
-/* brownian_paths(h0, h1, scales, out, B, Q, d), one lane per state word */
+/* brownian_paths(h0, h1, scales, out, B, Q, d), one lane per state word, a multiple of B lanes */
 ENTRY(brownian_paths)
 {
     const char *e = "cannot draw paths";
@@ -522,6 +527,9 @@ ENTRY(brownian_paths)
              && take(args[0], v, 'u', ANY, e, "h0") && take(args[1], v + 1, 'u', v[0].len / 8, e, "h1")
              && take(args[2], v + 2, 'd', count(2, z), e, "scales")
              && take(args[3], v + 3, 'D', count(3, SIZES(v[0].len / 8, z[1], z[2])), e, "out");
+    if (ok && v[0].len / 8 % z[0])
+        ok = 0, PyErr_Format(PyExc_ValueError, "%s: %zd lanes are not a multiple of B=%lld", e, v[0].len / 8,
+                             (long long)z[0]);
     if (ok)
         UNLOCKED(brownian_paths(v[0].buf, v[1].buf, v[0].len / 8, z[1], z[2], v[2].buf, z[0], v[3].buf));
     return finish(v, 4, ok);
@@ -560,19 +568,17 @@ ENTRY(extend_states)
     return finish(v, 4, ok);
 }
 
-/* node_sums(f, dw, sf, sfw, m, B, g, Q, d, k0) */
+/* node_sums(f, dw, sf, sfw, m, B, d) */
 ENTRY(node_sums)
 {
     const char *e = "cannot sum f against dw";
     Py_buffer v[4] = {{0}};
-    int64_t z[6]; /* m, B, g, Q, d, k0 */
-    int ok = arity(nargs, 10, "node_sums") && sizes(args + 4, 6, 0, z, e) && nodes_in(z[5], z[2], z[3], e)
-             && take(args[0], v, 'd', count(3, z), e, "f")
-             && take(args[1], v + 1, 'd', count(4, SIZES(z[0], z[1], z[3], z[4])), e, "dw")
-             && take(args[2], v + 2, 'D', count(2, z + 1), e, "sf")
-             && take(args[3], v + 3, 'D', count(3, SIZES(z[1], z[2], z[4])), e, "sfw");
+    int64_t z[3]; /* m, B, d */
+    int ok = arity(nargs, 7, "node_sums") && sizes(args + 4, 3, 0, z, e)
+             && take(args[0], v, 'd', count(2, z), e, "f") && take(args[1], v + 1, 'd', count(3, z), e, "dw")
+             && take(args[2], v + 2, 'D', z[1], e, "sf") && take(args[3], v + 3, 'D', count(2, z + 1), e, "sfw");
     if (ok)
-        UNLOCKED(node_sums(v[0].buf, v[1].buf, z[0], z[1], z[2], z[3], z[4], z[5], v[2].buf, v[3].buf));
+        UNLOCKED(node_sums(v[0].buf, v[1].buf, z[0], z[1], z[2], v[2].buf, v[3].buf));
     return finish(v, 4, ok);
 }
 
@@ -621,7 +627,7 @@ static PyMethodDef methods[] = {
     FAST(ndtri_array, "ndtri_array(u, out)"),
     FAST(brownian_paths, "brownian_paths(h0, h1, scales, out, B, Q, d)"),
     FAST(extend_states, "extend_states(h0, h1, chain, labels, out, A, C)"),
-    FAST(node_sums, "node_sums(f, dw, sf, sfw, m, B, g, Q, d, k0)"),
+    FAST(node_sums, "node_sums(f, dw, sf, sfw, m, B, d)"),
     FAST(shifted_points, "shifted_points(x, dw, y, m, B, Q, d, k0, g)"),
     FAST(node_terms, "node_terms(f, dw, weights, nodes, s, out, m, B, g, Q, d, k0, lane)"),
     {NULL, NULL, 0, NULL},
@@ -659,6 +665,7 @@ def _build(source: str, path: str) -> None:
         cmd = ["cc", *_CC_FLAGS, f"-I{include}", "-x", "c", "-", "-o", tmp, "-lm"]
         subprocess.run(cmd, input=source.encode(), capture_output=True, check=True, timeout=120)
         os.replace(tmp, path)
+        _prune(cache_dir, os.path.basename(path))
     except subprocess.CalledProcessError as exc:
         lines = exc.stderr.decode(errors="replace").splitlines() or [f"exit status {exc.returncode}"]
         raise ImportError(f"cc failed: {next((ln for ln in lines if 'error' in ln), lines[0])}") from None
@@ -669,6 +676,17 @@ def _build(source: str, path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _prune(cache_dir: str, live: str) -> None:
+    """Remove this interpreter's kernels other than ``live`` and the ``ctypes``-era ``_kernel-<hex>.so`` files.
+
+    Other interpreters' modules and every ``*.tmp`` stay: another process may load or be building them.
+    """
+    stale = re.compile(rf"_kernel-.*{re.escape(importlib.machinery.EXTENSION_SUFFIXES[0])}|_kernel-[0-9a-f]{{16}}\.so")
+    for name in set(filter(stale.fullmatch, os.listdir(cache_dir))) - {live}:
+        with contextlib.suppress(OSError):  # gone already, or not ours to remove
+            os.unlink(os.path.join(cache_dir, name))
 
 
 def _load_kernel(cache_dir: str, source: str = _C_SOURCE):
@@ -694,57 +712,3 @@ try:
 except ImportError as exc:
     _KERNEL, _FALLBACK_REASON = None, str(exc)
 
-
-def brownian_paths(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -> np.ndarray:
-    """Compiled scaled running sums of normals, shape ``h0.shape + (Q * d,)``.
-
-    ``scales`` has shape (B, Q) and the lane count is a multiple of B;
-    see ``randomness._standard_normals`` for the layout.
-    """
-    B, Q = scales.shape
-    out = np.empty(h0.shape + (Q * d,))
-    _KERNEL.brownian_paths(h0, h1, scales, out, B, Q, d)
-    return out
-
-
-def extend_states(h0: np.ndarray, h1: np.ndarray, labels: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Compiled ``randomness._extend_state``: scalar labels, then one label array.
-
-    The last label's shape must broadcast against the state's as an
-    outer product: its non-unit axes form one block along which the
-    state has size 1.
-    """
-    last = np.asarray(labels[-1], dtype=np.int64)
-    n = max(h0.ndim, last.ndim)
-    state = (1,) * (n - h0.ndim) + h0.shape
-    lab = (1,) * (n - last.ndim) + last.shape
-    axes = [i for i in range(n) if lab[i] != 1]
-    lo, hi = (axes[0], axes[-1] + 1) if axes else (n, n)
-    if state[lo:hi] != (1,) * (hi - lo):
-        raise ValueError(f"cannot extend states of shape {h0.shape} by labels {labels!r} as an outer product")
-    out = np.empty((2,) + state[:lo] + lab[lo:hi] + state[hi:], dtype=np.uint64)
-    _KERNEL.extend_states(h0, h1, labels[:-1], last, out, math.prod(state[:lo]), math.prod(state[hi:]))
-    return out[0], out[1]
-
-
-def node_sums(f: np.ndarray, dw: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Compiled ``mlp_core._node_sums_numpy``: f (m, B, g), dw (m, B, Q, d) -> (B, g), (B, g, d)."""
-    (m, B, g), (Q, d) = f.shape, dw.shape[2:]
-    sf, sfw = np.empty((B, g)), np.empty((B, g, d))
-    _KERNEL.node_sums(f, dw, sf, sfw, m, B, g, Q, d, k0)
-    return sf, sfw
-
-
-def shifted_points(x: np.ndarray, dw: np.ndarray, k0: int, g: int) -> np.ndarray:
-    """Compiled ``mlp_core._points_numpy``: x (B, d) plus dw[:, :, k0:k0 + g] of dw (m, B, Q, d), as (m * B * g, d)."""
-    m, B, Q, d = dw.shape
-    y = np.empty((m * B * g, d))
-    _KERNEL.shifted_points(x, dw, y, m, B, Q, d, k0, g)
-    return y
-
-
-def node_terms(out: np.ndarray, f: np.ndarray, dw: np.ndarray, k0: int, weights, nodes, s) -> None:
-    """Compiled ``mlp_core._node_terms_numpy``: adds the terms of f (m, B, g) at nodes k0.. into out (B, d + 1)."""
-    (m, B, g), (Q, d) = f.shape, dw.shape[2:]
-    s = np.ascontiguousarray(s, dtype=np.float64)  # a float, or a strided slice of a child's node times
-    _KERNEL.node_terms(f, dw, weights, nodes, s, out, m, B, g, Q, d, k0, weights.ndim == 2)

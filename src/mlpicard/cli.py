@@ -7,13 +7,15 @@ the seed comes from ``--seed`` (default 0).  Malformed input, an
 unusable ``--out`` included, exits 2 before any level is sampled.
 
 Exit codes: 0 success, 2 configuration error, 3 self-check failure,
-4 cost budget exceeded.
+4 cost budget exceeded, 5 evaluation error (a study whose estimates
+come out non-finite); with 2, 4 and 5 no output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +26,7 @@ import numpy as np
 
 from ._bits import uniforms_from_states
 from .analysis import BoundInputs, bound_nmq, cost_fe_exact, cost_rn_exact
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, EvaluationError
 from .mlp_core import MAX_LEVEL, CostCounters, Problem, check_request, mc_l2_error
 from .problems import build_problem
 from .randomness import state_for_key
@@ -150,6 +152,11 @@ def run_convergence(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
+def _json_cell(value):
+    """``value``, or for a non-finite float the string the CSV writes ("inf"), which strict JSON parsers accept."""
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_rows(rows: list[dict], fmt: str, out: Optional[str]) -> None:
     if fmt == "csv":
         lines = [",".join(COLUMNS)]
@@ -157,7 +164,7 @@ def write_rows(rows: list[dict], fmt: str, out: Optional[str]) -> None:
             lines.append(",".join(str(row[c]) for c in COLUMNS))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        text = json.dumps([{c: row[c] for c in COLUMNS} for row in rows], indent=2) + "\n"
+        text = json.dumps([{c: _json_cell(row[c]) for c in COLUMNS} for row in rows], indent=2, allow_nan=False) + "\n"
     else:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     if out is None:
@@ -283,6 +290,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
+    except EvaluationError as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -21,6 +21,13 @@ the studies and both sides of the residual check -- in lane chunks, so
 a call holds one chunk per thread in memory; results are bitwise
 independent of chunking and thread count.
 
+``_mlp_batch`` allocates the outputs of its array work -- the terminal
+term's sample sums, each node group's shifted points -- and passes them,
+with the sizes, straight to an entry of the compiled kernel of
+:mod:`mlpicard._bits` or, when it did not load, to the numpy reference
+here that takes the same arguments (``_node_sums_numpy``,
+``_points_numpy``, ``_node_terms_numpy``) and writes the same bits.
+
 All user functions are evaluated on batches: ``g(x)`` maps (L, d) to
 (L,), ``f(t, x, w, z)`` maps a time ``t`` -- a float, or an (L,) array
 when lanes at different Gauss-Legendre nodes share one call -- plus
@@ -49,7 +56,7 @@ from .analysis import cost_rn_exact
 from .errors import _POSITIVE, BudgetError, ConfigError, EvaluationError
 from .errors import _check_instance, _check_integer, _check_real, _real_array
 from .quadrature import MAX_ORDER, GaussLegendreRule, build_rule
-from .randomness import _MASK64, _extend_state, _key, _standard_normals, state_for_key
+from .randomness import _MASK64, _extend_state, _key, _root_state, _standard_normals, state_for_key
 
 __all__ = [
     "CostCounters",
@@ -255,39 +262,39 @@ def _sample_sum(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=0) if a[0].size > 1 else np.cumsum(a, axis=0)[-1]
 
 
-def _node_sums_numpy(f: np.ndarray, dw: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_sample_sum`` of f[:, :, j] and of f[:, :, j, None] * dw[:, :, k0 + j] for every j.
-
-    f has shape (m, B, g) and dw (m, B, Q, d); returns (B, g) and (B, g, d).
-    ``_bits.node_sums`` adds in the same order, so both give the same bits.
-    """
-    js = range(f.shape[2])
-    sf = np.stack([_sample_sum(f[:, :, j]) for j in js], axis=1)
-    sfw = np.stack([_sample_sum(f[:, :, j, None] * dw[:, :, k0 + j]) for j in js], axis=1)
-    return sf, sfw
+def _node_sums_numpy(f, dw, sf: np.ndarray, sfw: np.ndarray, m: int, B: int, d: int) -> None:
+    """Reference for the kernel's ``node_sums``: ``_sample_sum`` of f (m, B) and of f * dw for dw (m, B, d)."""
+    f = np.reshape(f, (m, B))
+    sf.reshape(B)[...] = _sample_sum(f)
+    sfw.reshape(B, d)[...] = _sample_sum(f[:, :, None] * np.reshape(dw, (m, B, d)))
 
 
-def _points_numpy(x: np.ndarray, dw: np.ndarray, k0: int, g: int) -> np.ndarray:
-    """The points x[b] + dw[i, b, k0 + j] of nodes k0..k0+g-1, for x (B, d), as an (m * B * g, d) array."""
-    return (x[None, :, None] + dw[:, :, k0 : k0 + g]).reshape(-1, x.shape[1])
+def _points_numpy(x, dw, y: np.ndarray, m: int, B: int, Q: int, d: int, k0: int, g: int) -> None:
+    """Reference for the kernel's ``shifted_points``: y[i, b, j] = x[b] + dw[i, b, k0 + j], dw (m, B, Q, d)."""
+    np.add(np.reshape(x, (1, B, 1, d)), np.reshape(dw, (m, B, Q, d))[:, :, k0 : k0 + g], out=y.reshape(m, B, g, d))
 
 
-def _node_terms_numpy(out: np.ndarray, f: np.ndarray, dw: np.ndarray, k0: int, weights, nodes, s) -> None:
-    """Add the terms of f (m, B, g) at nodes k0..k0+g-1 into out (B, d+1) in k order.
+def _node_terms_numpy(f, dw, weights, nodes, s, out: np.ndarray, m, B, g, Q, d, k0, lane) -> None:
+    """Reference for the kernel's ``node_terms``: adds the terms of f (m, B, g) at nodes k0..k0+g-1 into
+    out (B, d+1) in k order.  ``weights``, ``nodes`` and ``s`` hold Q, Q and 1 times, or B times that per lane."""
+    per = (B,) if lane else ()
+    f, dw, out = np.reshape(f, (m, B, g)), np.reshape(dw, (m, B, Q, d)), out.reshape(B, d + 1)
+    weights, nodes, s = np.reshape(weights, per + (Q,)), np.reshape(nodes, per + (Q,)), np.reshape(s, per)
+    sf, sfw = np.empty(B), np.empty((B, d))
+    for k in range(k0, k0 + g):
+        _node_sums_numpy(f[:, :, k - k0], dw[:, :, k], sf, sfw, m, B, d)
+        w_over_m = weights[..., k] / m
+        out[:, 0] += w_over_m * sf
+        out[:, 1:] += (w_over_m / (nodes[..., k] - s))[..., None] * sfw
 
-    ``weights`` and ``nodes`` have shape (Q,) with a scalar ``s``, or (B, Q) with a (B,) ``s``.
-    """
-    sf, sfw = _node_sums_numpy(f, dw, k0)
-    for k in range(k0, k0 + f.shape[2]):
-        w_over_m = weights[..., k] / f.shape[0]
-        out[:, 0] += w_over_m * sf[:, k - k0]
-        out[:, 1:] += (w_over_m / (nodes[..., k] - s))[..., None] * sfw[:, k - k0]
+
+_REFERENCES = (_node_sums_numpy, _points_numpy, _node_terms_numpy)
 
 
 def _lane_states(seed: int, key: Sequence[int], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """State words of the lanes keyed ``key + (r,)`` for r = lo..hi-1."""
-    h0, h1 = state_for_key(seed, key)
-    return _extend_state(h0, h1, np.arange(lo, hi, dtype=np.int64))
+    """State words of the lanes keyed ``key + (r,)`` for r = lo..hi-1; seed and key as ``check_request`` passed them."""
+    h0, h1 = _root_state(seed)
+    return _extend_state(h0, h1, *key, np.arange(lo, hi, dtype=np.int64))
 
 
 def _child_estimates(problem, level, M, Q, rule, h0, h1, ranks, t, y, counters) -> np.ndarray:
@@ -325,10 +332,8 @@ def _mlp_batch(
     B, d = x.shape
     if n == 0:
         return np.zeros((B, d + 1))
-    if _bits._KERNEL is not None:  # the node-group array work: compiled, or numpy's reference
-        node_sums, points, node_terms = _bits.node_sums, _bits.shifted_points, _bits.node_terms
-    else:
-        node_sums, points, node_terms = _node_sums_numpy, _points_numpy, _node_terms_numpy
+    k = _bits._KERNEL  # the array work: compiled, or numpy's references with the same arguments
+    node_sums, points, node_terms = (k.node_sums, k.shifted_points, k.node_terms) if k is not None else _REFERENCES
 
     s = np.asarray(s, dtype=float)
     span = problem.horizon - s
@@ -346,9 +351,10 @@ def _mlp_batch(
     # a numpy add, not shifted_points: at one node its C loop runs 2.3x slower on (m, B, d) = (256, 25, 2)
     gy = _evaluate(problem.terminal, "terminal", (m * B,), (x[None, :, :] + dw).reshape(m * B, d)).reshape(m, B)
     counters.g_evals += m * B
-    sf, sfw = node_sums((gy - gx[None, :])[:, :, None], dw[:, :, None, :], 0)
-    out[:, 0] += sf[:, 0] / m
-    out[:, 1:] += sfw[:, 0] / (m * span)[..., None]
+    sf, sfw = np.empty(B), np.empty((B, d))
+    node_sums(gy - gx[None, :], dw, sf, sfw, m, B, d)
+    out[:, 0] += sf / m
+    out[:, 1:] += sfw / (m * span)[..., None]
 
     nodes = s[..., None] + rule.nodes * span[..., None]  # (Q,) or (B, Q)
     weights = rule.weights * span[..., None]
@@ -361,17 +367,18 @@ def _mlp_batch(
         m = M ** (n - level)
         labels = np.arange(1, m + 1, dtype=np.int64)[:, None]
         ph0, ph1 = _extend_state(h0, h1, level, labels)  # (m, B): path keys (key, level, i)
-        dw_nodes = _standard_normals(ph0, ph1, Q * d, sqrt_dts).reshape(m, B, Q, d)
+        dw_nodes = _standard_normals(ph0, ph1, d, sqrt_dts).reshape(m, B, Q, d)
         counters.gaussians_drawn += m * B * Q * d
         # (m, B): prefix (key, -level, i) of the lower estimates, zero at level 1
         nh0, nh1 = _extend_state(h0, h1, -level, labels) if level >= 2 else (None, None)
         for k0 in range(0, Q, group):
-            k1 = min(k0 + group, Q)
-            lanes = m * B * (k1 - k0)
-            ranks = np.arange(k0 + 1, k1 + 1, dtype=np.int64)
-            t = nodes[..., k0:k1]
-            t = t.item() if t.size == 1 else np.broadcast_to(t, (m, B, k1 - k0)).reshape(lanes)
-            y = points(x, dw_nodes, k0, k1 - k0)
+            g = min(group, Q - k0)
+            lanes = m * B * g
+            ranks = np.arange(k0 + 1, k0 + g + 1, dtype=np.int64)
+            t = nodes[..., k0 : k0 + g]
+            t = t.item() if t.size == 1 else np.broadcast_to(t, (m, B, g)).reshape(lanes)
+            y = np.empty((lanes, d))
+            points(x, dw_nodes, y, m, B, Q, d, k0, g)
 
             # keys (key, level, i, rank)
             inner = _child_estimates(problem, level, M, Q, rule, ph0, ph1, ranks, t, y, counters)
@@ -383,8 +390,9 @@ def _mlp_batch(
                 fv = fv - _evaluate(problem.nonlinearity, "nonlinearity", (lanes,), t, y, lo[:, 0], lo[:, 1:])
                 counters.f_evals += lanes
 
-            # accumulate node by node in k order, as an unfolded call would
-            node_terms(out, fv.reshape(m, B, k1 - k0), dw_nodes, k0, weights, nodes, s)
+            # accumulate node by node in k order, as an unfolded call would; s may be a strided view of
+            # the parent's node times
+            node_terms(fv, dw_nodes, weights, nodes, np.ascontiguousarray(s), out, m, B, g, Q, d, k0, s.ndim)
     return out
 
 
@@ -536,7 +544,7 @@ def _residual_rhs(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, count
     nodes = s + rule.nodes * span
     times = np.append(nodes, problem.horizon)
     rh0, rh1 = _lane_states(seed, (*key, 1), rep_lo, rep_hi)
-    dw = _standard_normals(rh0, rh1, (Q + 1) * d, np.sqrt(np.diff(times, prepend=s))).reshape(R, Q + 1, d)
+    dw = _standard_normals(rh0, rh1, d, np.sqrt(np.diff(times, prepend=s))).reshape(R, Q + 1, d)
 
     rhs = np.zeros((R, d + 1))
     dw_T = dw[:, Q, :]

@@ -12,10 +12,13 @@ depend on evaluation order, batching, or thread count.
 The estimator asks for whole Brownian paths at once: ``_standard_normals``
 with per-node scales returns the running sums of scaled Gaussians, and
 ``_extend_state`` absorbs a chain of labels for a whole outer product of
-states and labels.  When the compiled kernel of :mod:`mlpicard._bits`
-loaded, each is one C call that fuses bits, inverse CDF, scaling and
-sum (or the whole absorb chain); otherwise the numpy and scipy pipeline
-below runs, which gives the same bits and serves as the reference.
+states and labels.  Each allocates its output once and passes it, with
+the sizes, to one entry of the compiled kernel of :mod:`mlpicard._bits`
+(``brownian_paths`` fuses bits, inverse CDF, scaling and sum, and
+``extend_states`` runs the whole absorb chain) or, when the kernel did
+not load, to the numpy and scipy reference below, ``_paths_numpy`` or
+``_extend_numpy``, which takes the same arguments and writes the same
+bits.
 
 Within one path the draw for (time rank j, coordinate c) sits at stream
 position j * d + c.  Querying the same key with a prefix of a time list
@@ -25,6 +28,7 @@ the path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -70,13 +74,15 @@ def _root_state(seed: int) -> tuple[np.ndarray, np.ndarray]:
     return _mix64(s + _GAMMA), _mix64(s + _GAMMA2)
 
 
-def _extend_numpy(h0: np.ndarray, h1: np.ndarray, labels: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Reference absorb chain of ``_extend_state``; labels broadcast as numpy does."""
-    for label in labels:
+def _extend_numpy(h0, h1, chain: tuple, labels, out: np.ndarray, A: int, C: int) -> None:
+    """Reference for the kernel's ``extend_states``: state a * C + c absorbs ``chain``, then label l into
+    word (a * len(labels) + l) * C + c of out[0] and out[1]."""
+    h0, h1 = np.reshape(h0, (A, 1, C)), np.reshape(h1, (A, 1, C))
+    for label in (*chain, np.reshape(labels, (1, -1, 1))):
         v = np.asarray(label, dtype=np.int64).astype(np.uint64)
         h0 = _mix64(h0 + (v * _GAMMA ^ _ABSORB_A))
         h1 = _mix64((h1 ^ h0) + _ABSORB_B)
-    return h0, h1
+    out.reshape(2, A, np.size(labels), C)[...] = h0, h1
 
 
 def _extend_state(h0: np.ndarray, h1: np.ndarray, *labels) -> tuple[np.ndarray, np.ndarray]:
@@ -88,8 +94,18 @@ def _extend_state(h0: np.ndarray, h1: np.ndarray, *labels) -> tuple[np.ndarray, 
     which is what lets a whole batch of sibling keys be derived in one
     call.
     """
-    extend = _extend_numpy if _bits._KERNEL is None else _bits.extend_states
-    return extend(h0, h1, labels)
+    last = np.asarray(labels[-1], dtype=np.int64)
+    n = max(h0.ndim, last.ndim)
+    state = (1,) * (n - h0.ndim) + h0.shape
+    lab = (1,) * (n - last.ndim) + last.shape
+    axes = [i for i in range(n) if lab[i] != 1]
+    lo, hi = (axes[0], axes[-1] + 1) if axes else (n, n)
+    if state[lo:hi] != (1,) * (hi - lo):
+        raise ValueError(f"cannot extend states of shape {h0.shape} by labels {labels!r} as an outer product")
+    out = np.empty((2,) + state[:lo] + lab[lo:hi] + state[hi:], dtype=np.uint64)
+    extend = _extend_numpy if _bits._KERNEL is None else _bits._KERNEL.extend_states
+    extend(h0, h1, labels[:-1], last, out, math.prod(state[:lo]), math.prod(state[hi:]))
+    return out[0], out[1]
 
 
 def state_for_key(seed: int, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -118,32 +134,27 @@ def derive_key(parent: Sequence[int], extension: Sequence[int]) -> MultiIndex:
     return _key("parent", parent) + _key("extension", extension)
 
 
-def _paths_numpy(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -> np.ndarray:
-    """Reference for ``_bits.brownian_paths``: bits, ndtri, scaling and sum as numpy passes."""
-    B, Q = scales.shape
+def _paths_numpy(h0, h1, scales, out: np.ndarray, B: int, Q: int, d: int) -> None:
+    """Reference for the kernel's ``brownian_paths``, same arguments: bits, ndtri, scaling and sum as numpy passes."""
     z = ndtri(uniforms_from_states(h0, h1, Q * d)).reshape(-1, B, Q, d)
-    return np.cumsum(z * scales[:, :, None], axis=2).reshape(np.shape(h0) + (Q * d,))
+    np.cumsum(z * np.reshape(scales, (B, Q, 1)), axis=2, out=out.reshape(z.shape))
 
 
-def _standard_normals(h0: np.ndarray, h1: np.ndarray, n_vals: int, scales=None) -> np.ndarray:
-    """n_vals N(0, 1) draws per lane, shape ``h0.shape + (n_vals,)``.
+def _standard_normals(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -> np.ndarray:
+    """Scaled running sums of N(0, 1) draws, shape ``h0.shape + (Q * d,)``.
 
-    With ``scales`` of shape (Q,), or (B, Q) with a lane count that is a
-    multiple of B, a lane's draws form Q rows of d = n_vals / Q, and the
-    result holds their running sums over rows after row j is multiplied
-    by ``scales[lane % B, j]``: the Brownian displacements at Q times
-    when the scales are the square roots of the time steps.
+    ``scales`` is a C-contiguous float array of shape (Q,), or (B, Q)
+    with a lane count that is a multiple of B.  A lane's draws form Q
+    rows of d, and the result holds their running sums over rows after
+    row j is multiplied by ``scales[lane % B, j]``: the Brownian
+    displacements at Q times when the scales are the square roots of
+    the time steps.
     """
-    scales = np.ascontiguousarray(np.ones(1) if scales is None else scales, dtype=np.float64)
     Q = scales.shape[-1]
-    scales = scales.reshape(-1, Q)
-    if n_vals < 1 or n_vals % Q or np.size(h0) % scales.shape[0]:
-        raise ValueError(
-            f"need n_vals a positive multiple of Q and lanes a multiple of B for scales of shape "
-            f"(B, Q) = {scales.shape}, got n_vals={n_vals} and {np.size(h0)} lanes"
-        )
-    paths = _paths_numpy if _bits._KERNEL is None else _bits.brownian_paths
-    return paths(h0, h1, n_vals // Q, scales)
+    out = np.empty(h0.shape + (Q * d,))
+    paths = _paths_numpy if _bits._KERNEL is None else _bits._KERNEL.brownian_paths
+    paths(h0, h1, scales, out, scales.size // Q, Q, d)
+    return out
 
 
 @dataclass(frozen=True)
@@ -181,7 +192,7 @@ def sample_path(seed: int, key: Sequence[int], dimension: int, start: float, tim
         raise ValueError(f"all times must exceed start={start}, got first time {t[0]}")
 
     h0, h1 = state_for_key(seed, key)
-    z = _standard_normals(h0, h1, t.size * dimension)[0].reshape(t.size, dimension)
+    z = _standard_normals(h0, h1, t.size * dimension, np.ones(1))[0].reshape(t.size, dimension)
     dt = np.diff(t, prepend=start)
     increments = z * np.sqrt(dt)[:, None]
     return PathIncrements(dimension=dimension, start=start, times=t, increments=increments)

@@ -182,35 +182,41 @@ def _check_cost_model() -> tuple[bool, str]:
     return True, "counters equal the recursions; closed-form caps hold for N <= 8"
 
 
+def _kernel_cases(rng: np.random.Generator):
+    """(kernel entry, its numpy reference, their arguments): paths, states, and node groups of one and of
+    several nodes with shared and per-lane times; f of either sign of zero shows the sign of a zero sum."""
+    for lanes, B, Q, d in ((0, 1, 1, 1), (1, 1, 1, 3), (7, 7, 3, 2), (600, 3, 4, 10)):
+        h0, h1 = rng.integers(0, 2**64, size=(2, lanes), dtype=np.uint64)
+        paths = (h0, h1, rng.uniform(0.1, 1.0, size=(B, Q)), np.empty(lanes * Q * d), B, Q, d)
+        yield "brownian_paths", randomness._paths_numpy, paths
+        labels = rng.integers(-(2**63), 2**63, size=4, dtype=np.int64)
+        for chain in ((), (0,), (2**63 - 1, -(2**63))):
+            states = (h0, h1, chain, labels, np.empty(2 * lanes * 4, dtype=np.uint64), lanes, 1)
+            yield "extend_states", randomness._extend_numpy, states
+    for m, B, g, Q, d, k0 in ((1, 1, 1, 1, 1, 0), (3, 4, 2, 5, 10, 3), (16, 2, 4, 4, 2, 0)):
+        x, dw, s = rng.normal(size=(B, d)), rng.normal(size=(m, B, Q, d)), rng.uniform(0.0, 0.5, size=B)
+        yield "shifted_points", mlp_core._points_numpy, (x, dw, np.empty(m * B * g * d), m, B, Q, d, k0, g)
+        for f in (rng.normal(size=(m, B, g)), -np.zeros((m, B, g))):
+            sums = (f[:, :, 0].copy(), dw[:, :, 0].copy(), np.empty(B), np.empty((B, d)), m, B, d)
+            yield "node_sums", mlp_core._node_sums_numpy, sums
+            w, lag = rng.uniform(size=(2, B, Q))  # per-lane weights, and nodes less s
+            for lane, times in ((0, (w[0], 0.6 + lag[0], np.full(1, 0.5))), (1, (w, s[:, None] + lag, s))):
+                terms = (f, dw, *times, np.full((B, d + 1), -0.0), m, B, g, Q, d, k0, lane)
+                yield "node_terms", mlp_core._node_terms_numpy, terms
+
+
 def _check_bit_kernel() -> tuple[bool, str]:
     """Compiled paths, states, ndtri and node-group entries against the numpy/scipy reference, bitwise."""
     if _bits._KERNEL is None:
         return True, f"numpy fallback runs ({_bits._FALLBACK_REASON or 'kernel switched off'}); nothing to compare"
-    rng = np.random.default_rng(41)
-    for lanes, B, Q, d in ((0, 1, 1, 1), (1, 1, 1, 3), (7, 7, 3, 2), (600, 3, 4, 10)):
-        h0, h1 = rng.integers(0, 2**64, size=(2, lanes), dtype=np.uint64)
-        scales = rng.uniform(0.1, 1.0, size=(B, Q))
-        if not np.array_equal(_bits.brownian_paths(h0, h1, d, scales), randomness._paths_numpy(h0, h1, d, scales)):
-            return False, f"paths differ at (lanes, B, Q, d) = {(lanes, B, Q, d)}"
-        labels = rng.integers(-(2**63), 2**63, size=4, dtype=np.int64)
-        for chain in ((), (0,), (2**63 - 1, -(2**63))):
-            got = _bits.extend_states(h0[:, None], h1[:, None], (*chain, labels))
-            want = randomness._extend_numpy(h0[:, None], h1[:, None], (*chain, labels))
-            if not (np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])):
-                return False, f"states differ for {lanes} lanes and chain {chain}"
-    # groups of one and of several nodes, shared and per-lane times, and zero sums of either sign
-    for m, B, g, Q, d, k0 in ((1, 1, 1, 1, 1, 0), (3, 4, 2, 5, 10, 3), (16, 2, 4, 4, 2, 0)):
-        x, dw, s = rng.normal(size=(B, d)), rng.normal(size=(m, B, Q, d)), rng.uniform(0.0, 0.5, size=B)
-        pairs = [(_bits.shifted_points(x, dw, k0, g), mlp_core._points_numpy(x, dw, k0, g))]
-        for f in (rng.normal(size=(m, B, g)), -np.zeros((m, B, g))):
-            pairs += zip(_bits.node_sums(f, dw, k0), mlp_core._node_sums_numpy(f, dw, k0))
-            w, lag = rng.uniform(size=(2, B, Q))  # per-lane weights, and nodes less s
-            for times in ((w[0], 0.6 + lag[0], 0.5), (w, s[:, None] + lag, s)):
-                pairs.append((np.full((B, d + 1), -0.0), np.full((B, d + 1), -0.0)))
-                _bits.node_terms(pairs[-1][0], f, dw, k0, *times)
-                mlp_core._node_terms_numpy(pairs[-1][1], f, dw, k0, *times)
-        if any(a.tobytes() != b.tobytes() for a, b in pairs):
-            return False, f"node-group entries differ at (m, B, g, Q, d, k0) = {(m, B, g, Q, d, k0)}"
+    for name, reference, args in _kernel_cases(np.random.default_rng(41)):
+        runs = []  # each on fresh copies of the arguments, which must come out the same bytes
+        for entry in (getattr(_bits._KERNEL, name), reference):
+            copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+            entry(*copies)
+            runs.append([a.tobytes() for a in copies if isinstance(a, np.ndarray)])
+        if runs[0] != runs[1]:
+            return False, f"{name} differs from its reference at sizes {[a for a in args if isinstance(a, int)]}"
     # all three ndtri branches, the far tail (u < exp(-32)) and both ends
     u = np.concatenate([np.exp(-np.linspace(0.0, 700.0, 2001)), 1.0 - np.exp(-np.linspace(0.0, 36.0, 2001))])
     z = np.empty_like(u)

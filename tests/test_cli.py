@@ -223,9 +223,31 @@ def test_overflowing_bound_inputs_run_with_bound_na(tmp_path):
         assert [row["bound"] for row in read_rows(out)] == ["n/a"]
 
 
+def test_overflowed_bound_is_strict_json(tmp_path):
+    # M = 1000 overflows the bound to inf; strict JSON has no Infinity, so it is written as the CSV writes it
+    out = tmp_path / "x.json"
+    assert main(["converge", "--level", "1,1000,1", "--reps", "2", "--format", "json", "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    (row,) = json.loads(out.read_text(), parse_constant=reject)
+    assert row["bound"] == "inf"
+
+
 def test_budget_exceeded_exits_4(tmp_path):
     out = tmp_path / "x.csv"
     assert main(converge_args(out, "--level", "8,8,8")) == 4
+    assert not out.exists()
+
+
+def test_non_finite_estimates_exit_5(tmp_path, capsys):
+    # |x|^2 overflows heat's g to inf, which passes check_request but makes the estimates non-finite
+    out = tmp_path / "x.csv"
+    args = ["converge", "--problem", "heat_quadratic", "--x", "1e200,1e200", "--level", "1,1,1", "--reps", "2"]
+    with pytest.warns(RuntimeWarning):
+        assert main([*args, "--out", str(out)]) == 5
+    assert capsys.readouterr().err.splitlines()[-1] == "evaluation error: estimator produced non-finite components"
     assert not out.exists()
 
 

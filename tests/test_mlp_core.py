@@ -321,67 +321,69 @@ def test_residual_memory_is_bounded_by_one_chunk():
     assert _added_mb(call, mlp_core._LANE_CAP) <= 25.0
 
 
-def test_node_sums_match_sample_sum():
-    # the compiled sums add in _sample_sum's order, down to the sign of a zero
-    # sum: heat's f is zero, and 0.0 * dW is -0.0 where dW < 0
-    if _bits._KERNEL is None:
-        pytest.skip("no compiled kernel")
-    rng = np.random.default_rng(12)
-    for m, B, g, Q, d, k0 in ((7, 5, 3, 4, 2, 1), (1, 1, 1, 1, 1, 0), (9, 1, 1, 3, 4, 2), (5, 1, 2, 2, 1, 0),
-                              (1, 6, 2, 2, 3, 0), (16, 64, 4, 4, 10, 0), (3, 2, 1, 1, 1, 0)):
-        dw = rng.normal(size=(m, B, Q, d))
-        for f in (rng.normal(size=(m, B, g)), np.zeros((m, B, g)), -np.zeros((m, B, g))):
-            got = _bits.node_sums(f, dw, k0)
-            for j in range(g):
-                assert got[0][:, j].tobytes() == mlp_core._sample_sum(f[:, :, j]).tobytes(), (m, B, g, Q, d)
-                want = mlp_core._sample_sum(f[:, :, j, None] * dw[:, :, k0 + j])
-                assert got[1][:, j].tobytes() == want.tobytes(), (m, B, g, Q, d)
-    with pytest.raises(ValueError, match="cannot sum"):
-        _bits.node_sums(np.zeros((2, 3, 2)), np.zeros((2, 3, 2, 1)), 1)
-
-
+# (m, B, g, Q, d, k0) of a node group: g nodes from k0 among Q, for m samples of B lanes in dimension d
 _NODE_CASES = ((7, 5, 3, 4, 2, 1), (1, 1, 1, 1, 1, 0), (9, 1, 1, 3, 4, 2), (5, 1, 2, 2, 1, 0),
                (1, 6, 2, 2, 3, 0), (16, 64, 4, 4, 10, 0), (3, 2, 1, 1, 1, 0), (4, 3, 2, 5, 10, 3))
 
 
-def test_node_terms_match_numpy_reference():
-    # the cases of test_node_sums_match_sample_sum, plus a group of 2 of 5
-    # nodes from k0 = 3; start values of -0.0 show the sign of a zero sum
-    if _bits._KERNEL is None:
-        pytest.skip("no compiled kernel")
-    rng = np.random.default_rng(13)
+def _node_groups(rng):
+    """(m, B, g, Q, d, k0, dw, f) of each node case, with f random and of either sign of zero: a zero f
+    shows the sign of a zero sum (heat's f is zero, and 0.0 * dW is -0.0 where dW < 0)."""
     for m, B, g, Q, d, k0 in _NODE_CASES:
         dw = rng.normal(size=(m, B, Q, d))
         for f in (rng.normal(size=(m, B, g)), np.zeros((m, B, g)), -np.zeros((m, B, g))):
+            yield m, B, g, Q, d, k0, dw, f
+
+
+def _assert_kernel_matches_reference(name, reference, cases):
+    # the kernel's entry ``name`` and its numpy reference take the same arguments; run on copies of each
+    # argument list, both leave the same bytes in every array, outputs and inputs alike
+    if _bits._KERNEL is None:
+        pytest.skip("no compiled kernel")
+    for args in cases:
+        runs = []
+        for entry in (getattr(_bits._KERNEL, name), reference):
+            copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+            entry(*copies)
+            runs.append([a.tobytes() for a in copies if isinstance(a, np.ndarray)])
+        assert runs[0] == runs[1], (name, [a for a in args if isinstance(a, int)])
+
+
+def test_node_sums_match_sample_sum():
+    # the terminal term's sums, _sample_sum of f and of f * dW in index order; the g > 1 and k0 > 0
+    # groups reach the same sums through node_terms, one node j at a time
+    def cases(rng):
+        for m, B, g, Q, d, k0, dw, f in _node_groups(rng):
+            for j in range(g):
+                yield f[:, :, j].copy(), dw[:, :, k0 + j].copy(), np.full(B, np.nan), np.full((B, d), np.nan), m, B, d
+
+    _assert_kernel_matches_reference("node_sums", mlp_core._node_sums_numpy, cases(np.random.default_rng(12)))
+
+
+def test_node_terms_match_numpy_reference():
+    # start values of -0.0 show the sign of a zero sum; times shared by the lanes and per lane
+    def cases(rng):
+        for m, B, g, Q, d, k0, dw, f in _node_groups(rng):
             start = rng.normal(size=(B, d + 1)) if f.any() else -np.zeros((B, d + 1))
             s = rng.uniform(0.0, 0.5, size=B)
-            shared = (rng.uniform(0.1, 1.0, size=Q), 0.4 + rng.uniform(0.1, 0.6, size=Q), np.asarray(0.4))
+            shared = (rng.uniform(0.1, 1.0, size=Q), 0.4 + rng.uniform(0.1, 0.6, size=Q), np.full(1, 0.4))
             per_lane = (rng.uniform(0.1, 1.0, size=(B, Q)), s[:, None] + rng.uniform(0.1, 0.6, size=(B, Q)), s)
-            for weights, nodes, t in (shared, per_lane):
-                got, want = start.copy(), start.copy()
-                _bits.node_terms(got, f, dw, k0, weights, nodes, t)
-                mlp_core._node_terms_numpy(want, f, dw, k0, weights, nodes, t)
-                assert got.tobytes() == want.tobytes(), (m, B, g, Q, d, k0, weights.shape)
-    with pytest.raises(ValueError, match="cannot add"):
-        _bits.node_terms(np.zeros((3, 2)), np.zeros((2, 3, 2)), np.zeros((2, 3, 2, 1)), 1, np.ones(2), np.ones(2), 0.0)
-    with pytest.raises(ValueError, match="cannot add"):  # per-lane weights need per-lane times
-        _bits.node_terms(np.zeros((3, 2)), np.zeros((2, 3, 1)), np.zeros((2, 3, 2, 1)), 0, np.ones((3, 2)),
-                         np.ones((3, 2)), 0.0)
+            for lane, times in ((0, shared), (1, per_lane)):
+                yield (f, dw, *times, start, m, B, g, Q, d, k0, lane)
+
+    _assert_kernel_matches_reference("node_terms", mlp_core._node_terms_numpy, cases(np.random.default_rng(13)))
 
 
 def test_shifted_points_match_numpy():
-    if _bits._KERNEL is None:
-        pytest.skip("no compiled kernel")
-    rng = np.random.default_rng(14)
-    for m, B, g, Q, d, k0 in _NODE_CASES:
-        x, dw = rng.normal(size=(B, d)), rng.normal(size=(m, B, Q, d))
-        want = x[None, :, None] + dw[:, :, k0 : k0 + g]
-        got = _bits.shifted_points(x, dw, k0, g)
-        assert got.shape == (m * B * g, d) and got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes(), (m, B, g, Q, d, k0)
-        assert mlp_core._points_numpy(x, dw, k0, g).tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="cannot shift"):
-        _bits.shifted_points(np.zeros((3, 1)), np.zeros((2, 3, 2, 1)), 1, 2)
+    def cases(rng):
+        for m, B, g, Q, d, k0 in _NODE_CASES:
+            x, dw = rng.normal(size=(B, d)), rng.normal(size=(m, B, Q, d))
+            y = np.full(m * B * g * d, np.nan)
+            mlp_core._points_numpy(x, dw, y, m, B, Q, d, k0, g)
+            assert y.tobytes() == (x[None, :, None] + dw[:, :, k0 : k0 + g]).tobytes(), (m, B, g, Q, d, k0)
+            yield x, dw, np.full(m * B * g * d, np.nan), m, B, Q, d, k0, g
+
+    _assert_kernel_matches_reference("shifted_points", mlp_core._points_numpy, cases(np.random.default_rng(14)))
 
 
 def test_level_zero_children_pass_zero_inputs(monkeypatch):

@@ -1,3 +1,5 @@
+import importlib.machinery
+import os
 import re
 import shutil
 import sysconfig
@@ -9,10 +11,9 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
-from mlpicard import _bits, selfcheck
+from mlpicard import _bits, randomness, selfcheck
 from mlpicard._bits import uniforms_from_states
 from mlpicard.randomness import (
-    _extend_numpy,
     _extend_state,
     _standard_normals,
     derive_key,
@@ -139,7 +140,7 @@ def test_increment_variance_over_keys():
     R, s, T = 100_000, 0.25, 1.5
     h0, h1 = state_for_key(11, ())
     rh0, rh1 = _extend_state(h0, h1, np.arange(R, dtype=np.int64))
-    z = _standard_normals(rh0, rh1, 1)[:, 0] * np.sqrt(T - s)
+    z = _standard_normals(rh0, rh1, 1, np.ones(1))[:, 0] * np.sqrt(T - s)
     var = z.var(ddof=1)
     se = (T - s) * np.sqrt(2.0 / (R - 1))
     assert abs(var - (T - s)) <= 3.0 * se
@@ -155,7 +156,7 @@ def test_marginal_law_kolmogorov_smirnov():
     # cheap loop only builds 400 paths; the heavy sample reuses one batch
     h0, h1 = state_for_key(3, (1,))
     rh0, rh1 = _extend_state(h0, h1, np.arange(100_000, dtype=np.int64))
-    sample = _standard_normals(rh0, rh1, 2)[:, 1] * np.sqrt(dt)
+    sample = _standard_normals(rh0, rh1, 2, np.ones(1))[:, 1] * np.sqrt(dt)
     stat = kstest(sample, "norm", args=(0.0, np.sqrt(dt)))
     assert stat.pvalue > 1e-3
     stat_small = kstest(draws, "norm", args=(0.0, np.sqrt(dt)))
@@ -170,8 +171,8 @@ def test_cross_key_independence():
     a0, a1 = _extend_state(h0, h1, np.arange(R, dtype=np.int64))
     g0, g1 = state_for_key(5, (3,))
     b0, b1 = _extend_state(g0, g1, np.arange(R, dtype=np.int64))
-    za = _standard_normals(a0, a1, 1)[:, 0]
-    zb = _standard_normals(b0, b1, 1)[:, 0]
+    za = _standard_normals(a0, a1, 1, np.ones(1))[:, 0]
+    zb = _standard_normals(b0, b1, 1, np.ones(1))[:, 0]
     corr = np.corrcoef(za, zb)[0, 1]
     assert abs(corr) <= 4.0 / np.sqrt(R)
 
@@ -202,28 +203,64 @@ def test_compiled_and_numpy_pipelines_agree():
         h0, h1 = _random_states(rng, shape)
         for n_vals in (1, 2, 3, 7, 8):
             assert uniforms_from_states(h0, h1, n_vals).shape == shape + (n_vals,)
-    # fused paths against the numpy passes; the kernel works in chunks of
+    h0, h1 = _random_states(rng, (4, 3))
+    assert np.array_equal(_standard_normals(h0, h1, 5, np.ones(1)), ndtri(uniforms_from_states(h0, h1, 5)))
+
+
+def _entry_cases(rng):
+    """(entry, arguments) pairs for the kernel's path and state entries, each valid as given."""
+    # paths with one and with B rows of scales; the kernel works in chunks of
     # 512 values, so 511 / 513 / 1026 values straddle a chunk boundary
     for lanes, B, Q, d in ((0, 1, 2, 2), (3, 1, 3, 3), (511, 1, 1, 1), (171, 1, 3, 1), (513, 3, 1, 1),
                            (2, 2, 1, 513), (64, 16, 4, 10), (9, 9, 3, 2), (1000, 10, 7, 3)):
         h0, h1 = _random_states(rng, (lanes,))
-        for scales in (rng.uniform(0.1, 2.0, size=Q), rng.uniform(0.1, 2.0, size=(B, Q))):
-            got = _standard_normals(h0, h1, Q * d, scales)
-            z = ndtri(uniforms_from_states(h0, h1, Q * d)).reshape(-1, scales.size // Q, Q, d)
-            want = np.cumsum(z * scales.reshape(-1, Q)[:, :, None], axis=2).reshape(lanes, Q * d)
-            assert got.shape == (lanes, Q * d)
-            assert np.array_equal(got, want), (lanes, B, Q, d, scales.shape)
-    h0, h1 = _random_states(rng, (4, 3))
-    assert np.array_equal(_standard_normals(h0, h1, 5), ndtri(uniforms_from_states(h0, h1, 5)))
+        for b in (1, B):
+            scales = rng.uniform(0.1, 2.0, size=(b, Q))
+            yield "brownian_paths", (h0, h1, scales, np.full(lanes * Q * d, np.nan), b, Q, d)
+    # states: outer products with labels between the A and C axes, at the int64 extremes
+    extremes = np.array([-(2**63), -(2**63) + 1, -7, -1, 0, 1, 2**63 - 1], dtype=np.int64)
+    for A, C in ((1, 5), (5, 1), (3, 4), (0, 3), (2, 0)):
+        h0, h1 = _random_states(rng, (A * C,))
+        for chain in ((), (0,), (2**63 - 1, -(2**63), -1)):
+            for labels in (extremes, extremes[3:4], extremes[:0]):
+                yield "extend_states", (h0, h1, chain, labels, np.zeros(2 * A * labels.size * C, np.uint64), A, C)
 
 
-def test_default_build_matches_dispatched_clone(tmp_path, monkeypatch):
+def test_kernel_entries_match_numpy_references():
+    # each entry of randomness and its numpy reference take the same arguments; run on copies of them,
+    # both leave the same bytes in every array, outputs and inputs alike (the node entries of mlp_core
+    # are compared the same way in test_mlp_core)
+    _require_kernel()
+    references = {
+        "brownian_paths": randomness._paths_numpy,
+        "extend_states": randomness._extend_numpy,
+    }
+    seen = set()
+    for name, args in _entry_cases(np.random.default_rng(17)):
+        runs = []
+        for entry in (getattr(_bits._KERNEL, name), references[name]):
+            copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+            entry(*copies)
+            runs.append([a.tobytes() for a in copies if isinstance(a, np.ndarray)])
+        assert runs[0] == runs[1], (name, [a for a in args if isinstance(a, (int, tuple))])
+        seen.add(name)
+    assert seen == set(references)
+
+
+def test_default_build_matches_dispatched_clone(tmp_path):
     # the kernel built for the baseline ISA only must give the bits of the
     # clone the loader picked for this CPU
     _require_kernel()
+    # the build removes this interpreter's other kernels and the ctypes-era libraries, and keeps other
+    # interpreters' modules and the temporary files of builds that may still run
+    stale = ["_kernel-0123456789abcdef" + importlib.machinery.EXTENSION_SUFFIXES[0], "_kernel-0123456789abcdef.so"]
+    kept = ["_kernel-0123456789abcdef.pypy39-pp73-x86_64-linux-gnu.so", "_kernel-k2j4x9.tmp"]
+    for name in stale + kept:
+        (tmp_path / name).write_text("")
     attr = '#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))'
     assert _bits._C_SOURCE.count(attr) == 1
     default = _bits._load_kernel(str(tmp_path), _bits._C_SOURCE.replace(attr, ""))
+    assert sorted(os.listdir(tmp_path)) == sorted(kept + [os.path.basename(default.__spec__.origin)])
     assert default is not _bits._KERNEL and default.kernel_isa() == "default"
     assert _bits._KERNEL.kernel_isa() in ("avx512f", "avx2", "default")
     rng = np.random.default_rng(31)
@@ -234,10 +271,9 @@ def test_default_build_matches_dispatched_clone(tmp_path, monkeypatch):
     for lanes, B, Q, d in cases:
         h0, h1 = _random_states(rng, (lanes,))
         scales = rng.uniform(0.1, 2.0, size=(B, Q))
-        want = _bits.brownian_paths(h0, h1, d, scales)
-        monkeypatch.setattr(_bits, "_KERNEL", default)
-        got = _bits.brownian_paths(h0, h1, d, scales)
-        monkeypatch.undo()
+        want, got = np.empty(lanes * Q * d), np.empty(lanes * Q * d)
+        _bits._KERNEL.brownian_paths(h0, h1, scales, want, B, Q, d)
+        default.brownian_paths(h0, h1, scales, got, B, Q, d)
         assert got.tobytes() == want.tobytes(), (lanes, B, Q, d)
     u = np.concatenate([[0.0, 1.0, 2.0**-54, 1.0 - 2.0**-53], rng.uniform(size=1000), np.exp(-rng.uniform(2, 700, 1000))])
     z = np.empty_like(u)
@@ -274,6 +310,15 @@ def test_compiled_ndtri_matches_scipy_on_every_branch():
     assert np.array_equal(_kernel_map("ndtri_array", u), ndtri(u))
 
 
+def _broadcast_chain(h0, h1, labels):
+    """The absorb chain on numpy's broadcast of the labels against the states: the layout the outer product keeps."""
+    for label in labels:
+        v = np.asarray(label, dtype=np.int64).astype(np.uint64)
+        h0 = randomness._mix64(h0 + (v * randomness._GAMMA ^ randomness._ABSORB_A))
+        h1 = randomness._mix64((h1 ^ h0) + randomness._ABSORB_B)
+    return h0, h1
+
+
 def test_compiled_key_states_match_numpy_chain():
     _require_kernel()
     rng = np.random.default_rng(8)
@@ -290,7 +335,7 @@ def test_compiled_key_states_match_numpy_chain():
     ]
     for (a0, a1), labels in cases:
         got = _extend_state(a0, a1, *labels)
-        want = _extend_numpy(a0, a1, labels)
+        want = _broadcast_chain(a0, a1, labels)
         assert got[0].shape == want[0].shape
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), labels
     with pytest.raises(ValueError, match="outer product"):
@@ -333,14 +378,14 @@ def test_kernel_build_failure_falls_back_to_numpy(tmp_path, monkeypatch):
     labels = np.arange(-3, 3)[:, None, None]
     scales = rng.uniform(0.1, 1.0, size=(3, 2))
     expected = (
-        _standard_normals(h0, h1, 6, scales),
-        _standard_normals(h0, h1, 3),
+        _standard_normals(h0, h1, 3, scales),
+        _standard_normals(h0, h1, 3, np.ones(1)),
         *_extend_state(h0, h1, 2, labels),
     )
     monkeypatch.setattr(_bits, "_KERNEL", None)
     fallback = (
-        _standard_normals(h0, h1, 6, scales),
-        _standard_normals(h0, h1, 3),
+        _standard_normals(h0, h1, 3, scales),
+        _standard_normals(h0, h1, 3, np.ones(1)),
         *_extend_state(h0, h1, 2, labels),
     )
     for got, want in zip(fallback, expected):
@@ -361,7 +406,7 @@ def test_kernel_entries_guard_their_buffers():
         "ndtri_array": ([f64, np.empty(48)], [], 1),
         "brownian_paths": ([u64[:6], u64[6:12], f64[:6], np.empty(6 * 3 * 4)], [2, 3, 4], 3),
         "extend_states": ([u64[:6], u64[6:12], (1, 2), i64[:4], np.empty(2 * 6 * 4, dtype=np.uint64)], [6, 1], 4),
-        "node_sums": ([f64[:12], f64, np.empty(6), np.empty(12)], [2, 3, 2, 4, 2, 1], 2),
+        "node_sums": ([f64[:6], f64[:12], np.empty(3), np.empty(6)], [2, 3, 2], 2),
         "shifted_points": ([f64[:6], f64, np.empty(24)], [2, 3, 4, 2, 1, 2], 2),
         "node_terms": ([f64[:12], f64, f64[:4], f64[4:8], f64[:1], np.zeros(9)], [2, 3, 2, 4, 2, 1, 0], 5),
     }
@@ -391,6 +436,16 @@ def test_kernel_entries_guard_their_buffers():
             getattr(k, name)(*(arrays + sizes)[:-1])  # an argument short
     with pytest.raises(ValueError, match="outer product"):
         k.extend_states(u64[:6], u64[6:12], (np.arange(2),), i64[:4], np.empty(48, dtype=np.uint64), 6, 1)
+    # lanes that are not a multiple of the B rows of scales, nodes k0..k0 + g - 1 that are not among
+    # the Q, and per-lane weights without per-lane times
+    with pytest.raises(ValueError, match="not a multiple of B=2"):
+        k.brownian_paths(u64[:5], u64[5:10], f64[:6], np.empty(5 * 3 * 4), 2, 3, 4)
+    with pytest.raises(ValueError, match="cannot shift"):
+        k.shifted_points(f64[:6], f64, np.empty(24), 2, 3, 4, 2, 3, 2)
+    with pytest.raises(ValueError, match="cannot add"):
+        k.node_terms(f64[:12], f64, f64[:4], f64[4:8], f64[:1], np.zeros(9), 2, 3, 2, 4, 2, 3, 0)
+    with pytest.raises(ValueError, match="cannot add"):
+        k.node_terms(f64[:6], f64[:12], f64[:6], f64[6:12], f64[:1], np.zeros(6), 2, 3, 1, 2, 1, 0, 1)
 
 
 def test_kernel_releases_the_gil():
@@ -456,7 +511,7 @@ def test_within_stream_autocorrelation_small():
     # lag-1 and lag-7 sample autocorrelations stay below 4 / sqrt(R)
     R = 200_000
     h0, h1 = state_for_key(29, (1, 1))
-    z = _standard_normals(h0, h1, R)[0]
+    z = _standard_normals(h0, h1, R, np.ones(1))[0]
     for lag in (1, 7):
         a, b = z[:-lag], z[lag:]
         corr = np.corrcoef(a, b)[0, 1]
