@@ -29,13 +29,14 @@ once per instruction set with GCC's ``target_clones`` (``avx512f``,
 ``avx2`` and ``default``) and the loader runs the first one the CPU
 supports; ``kernel_isa`` names it.  A compiler or libc without the
 attribute builds the default only.  The kernel also derives key states
-(the SplitMix64 absorb chain of :mod:`mlpicard.randomness`) for a whole
-outer product of states and labels in one call, and does the array work
-of a node group of ``mlp_core._mlp_batch``: it writes the group's
-shifted points x + dW as one contiguous array, and it adds each node's
-weighted term into the estimate, node by node, with numpy's operations,
-after summing f and f * dW over the sample axis in numpy's order, as it
-also does for the terminal term.
+(the SplitMix64 absorb chain of :mod:`mlpicard.randomness`): every state
+absorbs one chain of labels and then each of a batch of labels, in one
+call.  And it does the array work of a node group of
+``mlp_core._mlp_batch``: it writes the group's shifted points x + dW as
+one contiguous array, and it adds each node's weighted term into the
+estimate, node by node, with numpy's operations, after summing f and
+f * dW over the sample axis in numpy's order, as it also does for the
+terminal term.
 Every clone is built with ``-ffp-contract=off``, no fast-math and the
 scalar libm ``log``, so no fused multiply-add or vector approximation
 changes a rounding: every result is bit-identical to the numpy/scipy
@@ -535,37 +536,19 @@ ENTRY(brownian_paths)
     return finish(v, 4, ok);
 }
 
-/* extend_states(h0, h1, chain, labels, out, A, C), chain a tuple of scalar labels */
+/* extend_states(h0, h1, chain, labels, out, A, C) */
 ENTRY(extend_states)
 {
     const char *e = "cannot extend states";
-    Py_buffer v[4] = {{0}};
-    int64_t z[2], *chain = NULL;
-    Py_ssize_t n_chain = 0;
-    int ok = arity(nargs, 7, "extend_states") && sizes(args + 5, 2, 0, z, e);
-    if (ok && !PyTuple_Check(args[2]))
-        ok = 0, PyErr_Format(PyExc_TypeError, "%s: the chain must be a tuple of labels", e);
-    if (ok && !(chain = PyMem_Malloc(sizeof(int64_t) * ((n_chain = PyTuple_GET_SIZE(args[2])) + 1))))
-        ok = 0, PyErr_NoMemory();
-    for (Py_ssize_t j = 0; ok && j < n_chain; j++) {
-        PyObject *label = PyNumber_Index(PyTuple_GET_ITEM(args[2], j));
-        if (!label) {
-            PyErr_Format(PyExc_ValueError, "%s as an outer product: label %zd of the chain is not a scalar integer",
-                         e, j);
-            ok = 0;
-            break;
-        }
-        chain[j] = PyLong_AsLongLong(label);
-        Py_DECREF(label);
-        ok = !(chain[j] == -1 && PyErr_Occurred());
-    }
-    ok = ok && take(args[0], v, 'u', count(2, z), e, "h0") && take(args[1], v + 1, 'u', count(2, z), e, "h1")
-         && take(args[3], v + 2, 'i', ANY, e, "labels")
-         && take(args[4], v + 3, 'U', count(4, SIZES(2, z[0], v[2].len / 8, z[1])), e, "out");
+    Py_buffer v[5] = {{0}};
+    int64_t z[2]; /* A, C */
+    int ok = arity(nargs, 7, "extend_states") && sizes(args + 5, 2, 0, z, e)
+             && take(args[0], v, 'u', count(2, z), e, "h0") && take(args[1], v + 1, 'u', count(2, z), e, "h1")
+             && take(args[2], v + 2, 'i', ANY, e, "chain") && take(args[3], v + 3, 'i', ANY, e, "labels")
+             && take(args[4], v + 4, 'U', count(4, SIZES(2, z[0], v[3].len / 8, z[1])), e, "out");
     if (ok)
-        UNLOCKED(extend_states(v[0].buf, v[1].buf, z[0], z[1], chain, n_chain, v[2].buf, v[2].len / 8, v[3].buf));
-    PyMem_Free(chain);
-    return finish(v, 4, ok);
+        UNLOCKED(extend_states(v[0].buf, v[1].buf, z[0], z[1], v[2].buf, v[2].len / 8, v[3].buf, v[3].len / 8, v[4].buf));
+    return finish(v, 5, ok);
 }
 
 /* node_sums(f, dw, sf, sfw, m, B, d) */

@@ -33,8 +33,10 @@ All user functions are evaluated on batches: ``g(x)`` maps (L, d) to
 when lanes at different Gauss-Legendre nodes share one call -- plus
 (L, d), (L,), (L, d) to (L,), and ``exact(t, x)`` maps a scalar time
 plus (L, d) to (L, d+1).  An f or g output of any other shape raises
-``ConfigError``.  f and g must not write into their arguments: at a
-level-0 child, w and z are read-only broadcast views of zero.
+``ConfigError``, and so does a write into any array f, g or exact
+receive: all are read-only (at a level-0 child, w and z are zero views),
+so the caller's x is never written.  An overflow shows as the
+``EvaluationError`` of a non-finite estimate, not as numpy warnings.
 
 Cost accounting: counters tally every scalar Gaussian draw and every
 f/g evaluation at sampled points.  The one terminal value g(x) at the
@@ -92,9 +94,9 @@ class Problem:
 
     ``terminal`` maps (L, d) points to (L,) values; ``nonlinearity(t, x,
     w, z)`` maps a time ``t`` (a float or an (L,) array of per-lane
-    times) and (L, d), (L,), (L, d) arrays to (L,) values.  Neither may
-    write into its arguments: at a level-0 child, w and z are read-only
-    zero views.
+    times) and (L, d), (L,), (L, d) arrays to (L,) values.  Their
+    arguments, and those of ``exact``, are read-only: a write raises
+    ``ConfigError``.
 
     ``lip_f`` holds the d+1 Lipschitz constants of the nonlinearity in
     (w, z), ``lip_g`` the d coordinate Lipschitz constants of the
@@ -212,7 +214,7 @@ def check_request(
     replications: Optional[int] = None,
     threads: int = 1,
 ) -> np.ndarray:
-    """Return x as a C-contiguous float array if the request is well formed and within budget.
+    """Return a read-only C-contiguous float view of x if the request is well formed and within budget.
 
     ValueError: not a Problem; n, M, Q, replications or threads not an
     integer of at least 0, 1, 1, 2 and 1, Q above 64, replications above
@@ -239,12 +241,24 @@ def check_request(
     predicted = cost_rn_exact(n, M, Q, problem.dim)
     if predicted > MAX_GAUSSIANS:
         raise BudgetError(f"predicted {predicted} scalar normal draws per estimate exceed the budget {MAX_GAUSSIANS}")
-    return np.ascontiguousarray(x)
+    return _read_only(np.ascontiguousarray(x).view())  # a view: the caller's array keeps its flags
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, flagged read-only where it is born, so that f, g or exact cannot write into it."""
+    a.flags.writeable = False
+    return a
 
 
 def _evaluate(fn: Callable, name: str, shape: tuple, *args) -> np.ndarray:
-    """``fn(*args)`` as a C-contiguous float array, which must have the given shape."""
-    out = np.asarray(fn(*args), dtype=float, order="C")
+    """``fn(*args)`` as a C-contiguous float array of the given shape; a write into an argument is a ConfigError."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        if "read-only" not in str(exc):
+            raise
+        raise ConfigError(f"problem.{name} wrote into its read-only arguments: {exc}") from exc
+    out = np.asarray(out, dtype=float, order="C")
     if out.shape != shape:
         raise ConfigError(f"problem.{name} returned shape {out.shape}, expected {shape}")
     return out
@@ -289,23 +303,24 @@ def _node_terms_numpy(f, dw, weights, nodes, s, out: np.ndarray, m, B, g, Q, d, 
 
 
 _REFERENCES = (_node_sums_numpy, _points_numpy, _node_terms_numpy)
+_NO_CHAIN = np.zeros(0, dtype=np.int64)
 
 
 def _lane_states(seed: int, key: Sequence[int], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """State words of the lanes keyed ``key + (r,)`` for r = lo..hi-1; seed and key as ``check_request`` passed them."""
-    h0, h1 = _root_state(seed)
-    return _extend_state(h0, h1, *key, np.arange(lo, hi, dtype=np.int64))
+    h0, h1 = _extend_state(*_root_state(seed), np.array(key, dtype=np.int64), np.arange(lo, hi, dtype=np.int64))
+    return h0.reshape(-1), h1.reshape(-1)
 
 
 def _child_estimates(problem, level, M, Q, rule, h0, h1, ranks, t, y, counters) -> np.ndarray:
-    """Level-``level`` estimates at (t, y) keyed (prefix, rank) for prefix states h0/h1 of shape (m, B).
+    """Read-only level-``level`` estimates at (t, y), lane p * len(ranks) + j keyed (prefix p, ranks[j]).
 
-    A level-0 estimate is a read-only zero view: no key, call or array.
+    A level-0 estimate is a zero view: no key, call or array.
     """
     if level == 0:
         return np.broadcast_to(0.0, (y.shape[0], y.shape[1] + 1))
-    kh0, kh1 = _extend_state(h0[:, :, None], h1[:, :, None], ranks)
-    return _mlp_batch(problem, level, M, Q, rule, kh0.reshape(-1), kh1.reshape(-1), t, y, counters)
+    kh0, kh1 = _extend_state(h0, h1, _NO_CHAIN, ranks, h0.size)
+    return _read_only(_mlp_batch(problem, level, M, Q, rule, kh0.reshape(-1), kh1.reshape(-1), t, y, counters))
 
 
 def _mlp_batch(
@@ -344,15 +359,15 @@ def _mlp_batch(
     out[:, 0] = gx
 
     m = M**n
-    labels = np.arange(1, m + 1, dtype=np.int64)[:, None]
-    th0, th1 = _extend_state(h0, h1, 0, -labels)  # (m, B): keys (key, 0, -i)
+    labels = np.arange(1, m + 1, dtype=np.int64)
+    th0, th1 = _extend_state(h0, h1, np.array([0], dtype=np.int64), -labels)  # (1, m, B): keys (key, 0, -i)
     dw = _standard_normals(th0, th1, d, np.sqrt(span)[..., None]).reshape(m, B, d)
     counters.gaussians_drawn += m * B * d
     # a numpy add, not shifted_points: at one node its C loop runs 2.3x slower on (m, B, d) = (256, 25, 2)
-    gy = _evaluate(problem.terminal, "terminal", (m * B,), (x[None, :, :] + dw).reshape(m * B, d)).reshape(m, B)
+    gy = _evaluate(problem.terminal, "terminal", (m * B,), _read_only((x[None, :, :] + dw).reshape(m * B, d)))
     counters.g_evals += m * B
     sf, sfw = np.empty(B), np.empty((B, d))
-    node_sums(gy - gx[None, :], dw, sf, sfw, m, B, d)
+    node_sums(gy.reshape(m, B) - gx[None, :], dw, sf, sfw, m, B, d)
     out[:, 0] += sf / m
     out[:, 1:] += sfw / (m * span)[..., None]
 
@@ -365,20 +380,21 @@ def _mlp_batch(
 
     for level in range(n):
         m = M ** (n - level)
-        labels = np.arange(1, m + 1, dtype=np.int64)[:, None]
-        ph0, ph1 = _extend_state(h0, h1, level, labels)  # (m, B): path keys (key, level, i)
+        labels = np.arange(1, m + 1, dtype=np.int64)
+        ph0, ph1 = _extend_state(h0, h1, np.array([level], dtype=np.int64), labels)  # (1, m, B): keys (key, level, i)
         dw_nodes = _standard_normals(ph0, ph1, d, sqrt_dts).reshape(m, B, Q, d)
         counters.gaussians_drawn += m * B * Q * d
-        # (m, B): prefix (key, -level, i) of the lower estimates, zero at level 1
-        nh0, nh1 = _extend_state(h0, h1, -level, labels) if level >= 2 else (None, None)
+        # (1, m, B): prefix (key, -level, i) of the lower estimates, zero at level 1
+        nh0, nh1 = _extend_state(h0, h1, np.array([-level], dtype=np.int64), labels) if level >= 2 else (None, None)
         for k0 in range(0, Q, group):
             g = min(group, Q - k0)
             lanes = m * B * g
             ranks = np.arange(k0 + 1, k0 + g + 1, dtype=np.int64)
             t = nodes[..., k0 : k0 + g]
-            t = t.item() if t.size == 1 else np.broadcast_to(t, (m, B, g)).reshape(lanes)
+            t = t.item() if t.size == 1 else _read_only(np.broadcast_to(t, (m, B, g)).reshape(lanes))
             y = np.empty((lanes, d))
             points(x, dw_nodes, y, m, B, Q, d, k0, g)
+            y.flags.writeable = False
 
             # keys (key, level, i, rank)
             inner = _child_estimates(problem, level, M, Q, rule, ph0, ph1, ranks, t, y, counters)
@@ -421,7 +437,8 @@ def mlp_estimate(
     _check_instance("counters", counters, CostCounters)
     h0, h1 = state_for_key(seed, key)
     rule = build_rule(Q)
-    components = _mlp_batch(problem, n, M, Q, rule, h0, h1, float(s), x[None, :], counters)[0]
+    with np.errstate(all="ignore"):  # an overflow surfaces as the non-finite check's error, not as warnings
+        components = _mlp_batch(problem, n, M, Q, rule, h0, h1, float(s), x[None, :], counters)[0]
     if not np.all(np.isfinite(components)):
         raise EvaluationError("estimator produced non-finite components")
     return Estimate(components=components)
@@ -443,7 +460,7 @@ def _replication_batch(
 ) -> np.ndarray:
     """Estimates for replications rep_lo..rep_hi-1, keys ``key + (r,)``."""
     rh0, rh1 = _lane_states(seed, key, rep_lo, rep_hi)
-    xs = np.repeat(x[None, :], rep_hi - rep_lo, axis=0)
+    xs = _read_only(np.repeat(x[None, :], rep_hi - rep_lo, axis=0))
     return _mlp_batch(problem, n, M, Q, rule, rh0, rh1, s, xs, counters)
 
 
@@ -459,10 +476,15 @@ def _run_replications(work, replications: int, block: int, threads: int, counter
     chunks = max(min(threads, replications), -(-replications // per_chunk))
     bounds = np.linspace(0, replications, chunks + 1).astype(int).tolist()
     chunk_counters = [CostCounters() for _ in bounds[1:]]
+
+    def run(lo, hi, c):
+        with np.errstate(all="ignore"):  # as in mlp_estimate; pool threads do not inherit the caller's setting
+            return work(lo, hi, c)
+
     # one thread runs the chunks on the caller: on a pool worker, whose own
     # malloc arena this adds, the sine d=2 study's peak RSS rose 1-3 MB (2-4%)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list((pool.map if threads > 1 else map)(work, bounds[:-1], bounds[1:], chunk_counters))
+        parts = list((pool.map if threads > 1 else map)(run, bounds[:-1], bounds[1:], chunk_counters))
     for c in chunk_counters:
         counters.add(c)
     return np.concatenate(parts, axis=0)
@@ -548,16 +570,15 @@ def _residual_rhs(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, count
 
     rhs = np.zeros((R, d + 1))
     dw_T = dw[:, Q, :]
-    g_t = _evaluate(problem.terminal, "terminal", (R,), x[None, :] + dw_T)
+    g_t = _evaluate(problem.terminal, "terminal", (R,), _read_only(x[None, :] + dw_T))
     rhs[:, 0] = g_t
     rhs[:, 1:] = g_t[:, None] * dw_T / span
 
     ih0, ih1 = _lane_states(seed, (*key, 2), rep_lo, rep_hi)
+    t = _read_only(np.broadcast_to(nodes, (R, Q)).reshape(R * Q))
+    y = _read_only((x[None, None, :] + dw[:, :Q, :]).reshape(R * Q, d))
     ranks = np.arange(1, Q + 1, dtype=np.int64)
-    kh0, kh1 = _extend_state(ih0[:, None], ih1[:, None], ranks)  # (R, Q): keys (key, 2, r, rank)
-    t = np.broadcast_to(nodes, (R, Q)).reshape(R * Q)
-    y = (x[None, None, :] + dw[:, :Q, :]).reshape(R * Q, d)
-    inner = _mlp_batch(problem, n - 1, M, Q, rule, kh0.reshape(-1), kh1.reshape(-1), t, y, counters)
+    inner = _child_estimates(problem, n - 1, M, Q, rule, ih0, ih1, ranks, t, y, counters)  # keys (key, 2, r, rank)
     fv = _evaluate(problem.nonlinearity, "nonlinearity", (R * Q,), t, y, inner[:, 0], inner[:, 1:]).reshape(R, Q)
     for k in range(Q):
         w_k = float(rule.weights[k]) * span

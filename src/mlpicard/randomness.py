@@ -9,16 +9,16 @@ mapped to Gaussians through the inverse normal CDF.  There are no
 rejection loops and no sequential generator state, so results do not
 depend on evaluation order, batching, or thread count.
 
-The estimator asks for whole Brownian paths at once: ``_standard_normals``
-with per-node scales returns the running sums of scaled Gaussians, and
-``_extend_state`` absorbs a chain of labels for a whole outer product of
-states and labels.  Each allocates its output once and passes it, with
-the sizes, to one entry of the compiled kernel of :mod:`mlpicard._bits`
-(``brownian_paths`` fuses bits, inverse CDF, scaling and sum, and
-``extend_states`` runs the whole absorb chain) or, when the kernel did
-not load, to the numpy and scipy reference below, ``_paths_numpy`` or
-``_extend_numpy``, which takes the same arguments and writes the same
-bits.
+The estimator asks for whole Brownian paths at once:
+``_standard_normals`` with per-node scales returns the running sums of
+scaled Gaussians, and ``_extend_state`` absorbs a chain of labels into
+every state and then each of a batch of labels.  Each allocates its
+output once and passes it, with the sizes, to one entry of the compiled
+kernel of :mod:`mlpicard._bits` (``brownian_paths`` fuses bits, inverse
+CDF, scaling and sum, and ``extend_states`` runs the whole absorb chain)
+or, when the kernel did not load, to the numpy and scipy reference
+below, ``_paths_numpy`` or ``_extend_numpy``, which takes the same
+arguments and writes the same bits.
 
 Within one path the draw for (time rank j, coordinate c) sits at stream
 position j * d + c.  Querying the same key with a prefix of a time list
@@ -28,7 +28,6 @@ the path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -74,7 +73,7 @@ def _root_state(seed: int) -> tuple[np.ndarray, np.ndarray]:
     return _mix64(s + _GAMMA), _mix64(s + _GAMMA2)
 
 
-def _extend_numpy(h0, h1, chain: tuple, labels, out: np.ndarray, A: int, C: int) -> None:
+def _extend_numpy(h0, h1, chain, labels, out: np.ndarray, A: int, C: int) -> None:
     """Reference for the kernel's ``extend_states``: state a * C + c absorbs ``chain``, then label l into
     word (a * len(labels) + l) * C + c of out[0] and out[1]."""
     h0, h1 = np.reshape(h0, (A, 1, C)), np.reshape(h1, (A, 1, C))
@@ -85,26 +84,17 @@ def _extend_numpy(h0, h1, chain: tuple, labels, out: np.ndarray, A: int, C: int)
     out.reshape(2, A, np.size(labels), C)[...] = h0, h1
 
 
-def _extend_state(h0: np.ndarray, h1: np.ndarray, *labels) -> tuple[np.ndarray, np.ndarray]:
-    """Absorb signed integer labels into the state, one after the other.
+def _extend_state(h0: np.ndarray, h1: np.ndarray, chain: np.ndarray, labels: np.ndarray, A: int = 1):
+    """Every state absorbs the int64 ``chain`` in order, then each int64 label: two (A, len(labels), C) word arrays.
 
-    Every label but the last is a scalar.  The last may be an integer
-    array that broadcasts against the state words as an outer product
-    (its non-unit axes form one block along which the state has size 1),
-    which is what lets a whole batch of sibling keys be derived in one
-    call.
+    The states form A blocks of C = h0.size // A, and word (a, l, c) is
+    state a * C + c extended by label l.  A = 1 derives one batch of
+    sibling keys, label-major over the states; A = h0.size gives each
+    state its own run of labels.
     """
-    last = np.asarray(labels[-1], dtype=np.int64)
-    n = max(h0.ndim, last.ndim)
-    state = (1,) * (n - h0.ndim) + h0.shape
-    lab = (1,) * (n - last.ndim) + last.shape
-    axes = [i for i in range(n) if lab[i] != 1]
-    lo, hi = (axes[0], axes[-1] + 1) if axes else (n, n)
-    if state[lo:hi] != (1,) * (hi - lo):
-        raise ValueError(f"cannot extend states of shape {h0.shape} by labels {labels!r} as an outer product")
-    out = np.empty((2,) + state[:lo] + lab[lo:hi] + state[hi:], dtype=np.uint64)
+    out = np.empty((2, A, labels.size, h0.size // A), dtype=np.uint64)
     extend = _extend_numpy if _bits._KERNEL is None else _bits._KERNEL.extend_states
-    extend(h0, h1, labels[:-1], last, out, math.prod(state[:lo]), math.prod(state[hi:]))
+    extend(h0, h1, chain, labels, out, A, out.shape[3])
     return out[0], out[1]
 
 
@@ -112,8 +102,9 @@ def state_for_key(seed: int, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray
     """Fold (seed, key) into shape-(1,) state words; integer seed in [0, 2**64), labels as in derive_key."""
     _check_integer("seed", seed, 0, _MASK64)
     h0, h1 = _root_state(seed)
-    labels = _key("key", key)
-    return _extend_state(h0, h1, *labels) if labels else (h0, h1)
+    labels = np.array(_key("key", key), dtype=np.int64)
+    words = _extend_state(h0, h1, labels[:-1], labels[-1:]) if labels.size else (h0, h1)
+    return words[0].reshape(1), words[1].reshape(1)
 
 
 def _key(name: str, labels: Sequence[int]) -> MultiIndex:

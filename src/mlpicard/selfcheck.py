@@ -191,7 +191,7 @@ def _kernel_cases(rng: np.random.Generator):
         yield "brownian_paths", randomness._paths_numpy, paths
         labels = rng.integers(-(2**63), 2**63, size=4, dtype=np.int64)
         for chain in ((), (0,), (2**63 - 1, -(2**63))):
-            states = (h0, h1, chain, labels, np.empty(2 * lanes * 4, dtype=np.uint64), lanes, 1)
+            states = (h0, h1, np.array(chain, dtype=np.int64), labels, np.empty(2 * lanes * 4, dtype=np.uint64), lanes, 1)
             yield "extend_states", randomness._extend_numpy, states
     for m, B, g, Q, d, k0 in ((1, 1, 1, 1, 1, 0), (3, 4, 2, 5, 10, 3), (16, 2, 4, 4, 2, 0)):
         x, dw, s = rng.normal(size=(B, d)), rng.normal(size=(m, B, Q, d)), rng.uniform(0.0, 0.5, size=B)

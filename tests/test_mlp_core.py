@@ -462,6 +462,29 @@ def test_problem_output_shapes_are_checked():
         mc_l2_error(long_exact, 1, 2, 2, 0.0, np.zeros(2), 4)
 
 
+@pytest.mark.parametrize("name", ["terminal", "nonlinearity", "exact"])
+def test_problem_functions_get_read_only_arguments(name):
+    # a function that writes into its x raises a ConfigError that names it, on pool threads too, and
+    # the caller's own x keeps its values and its flags
+    problem = manufactured_sine(2)
+    fn = getattr(problem, name)
+
+    def mutating(*args):
+        x = args[0 if name == "terminal" else 1]
+        x += 1.0
+        return fn(*args)
+
+    problem = dataclasses.replace(problem, **{name: mutating})
+    x = np.array([0.3, -0.2])
+    error = f"problem.{name} wrote into its read-only arguments"
+    if name != "exact":  # a point estimate does not call exact
+        with pytest.raises(ConfigError, match=error):
+            mlp_estimate(problem, 2, 2, 2, x=x)
+    with pytest.raises(ConfigError, match=error):
+        mc_l2_error(problem, 2, 2, 2, 0.0, x, 4, threads=2)
+    assert x.tolist() == [0.3, -0.2] and x.flags.writeable
+
+
 def test_mc_l2_error_zero_problem_is_exact():
     report = mc_l2_error(zero_problem(2), 2, 2, 2, 0.0, np.zeros(2), 10, seed=0)
     assert np.all(report.component_errors == 0.0)

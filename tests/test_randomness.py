@@ -56,6 +56,12 @@ def test_state_for_key_rejects_seeds_outside_uint64():
     assert (low[0][0], low[1][0]) != (high[0][0], high[1][0])
 
 
+def _siblings(h0, h1, n):
+    """States of the keys key + (r,), r < n, from the shape-(1,) state of key; shape (n,)."""
+    r0, r1 = _extend_state(h0, h1, np.zeros(0, dtype=np.int64), np.arange(n, dtype=np.int64))
+    return r0.reshape(n), r1.reshape(n)
+
+
 def _scheme_extensions(rng):
     """Extension shapes the estimator actually derives."""
     l = int(rng.integers(0, 7))
@@ -139,7 +145,7 @@ def test_increment_variance_over_keys():
     # standard error (T - s) sqrt(2 / (R - 1))
     R, s, T = 100_000, 0.25, 1.5
     h0, h1 = state_for_key(11, ())
-    rh0, rh1 = _extend_state(h0, h1, np.arange(R, dtype=np.int64))
+    rh0, rh1 = _siblings(h0, h1, R)
     z = _standard_normals(rh0, rh1, 1, np.ones(1))[:, 0] * np.sqrt(T - s)
     var = z.var(ddof=1)
     se = (T - s) * np.sqrt(2.0 / (R - 1))
@@ -155,7 +161,7 @@ def test_marginal_law_kolmogorov_smirnov():
     )
     # cheap loop only builds 400 paths; the heavy sample reuses one batch
     h0, h1 = state_for_key(3, (1,))
-    rh0, rh1 = _extend_state(h0, h1, np.arange(100_000, dtype=np.int64))
+    rh0, rh1 = _siblings(h0, h1, 100_000)
     sample = _standard_normals(rh0, rh1, 2, np.ones(1))[:, 1] * np.sqrt(dt)
     stat = kstest(sample, "norm", args=(0.0, np.sqrt(dt)))
     assert stat.pvalue > 1e-3
@@ -168,9 +174,9 @@ def test_cross_key_independence():
     # R draws is below 4 / sqrt(R) with very high probability
     R = 100_000
     h0, h1 = state_for_key(5, (2,))
-    a0, a1 = _extend_state(h0, h1, np.arange(R, dtype=np.int64))
+    a0, a1 = _siblings(h0, h1, R)
     g0, g1 = state_for_key(5, (3,))
-    b0, b1 = _extend_state(g0, g1, np.arange(R, dtype=np.int64))
+    b0, b1 = _siblings(g0, g1, R)
     za = _standard_normals(a0, a1, 1, np.ones(1))[:, 0]
     zb = _standard_normals(b0, b1, 1, np.ones(1))[:, 0]
     corr = np.corrcoef(za, zb)[0, 1]
@@ -217,11 +223,11 @@ def _entry_cases(rng):
         for b in (1, B):
             scales = rng.uniform(0.1, 2.0, size=(b, Q))
             yield "brownian_paths", (h0, h1, scales, np.full(lanes * Q * d, np.nan), b, Q, d)
-    # states: outer products with labels between the A and C axes, at the int64 extremes
+    # states: the labels between the A and C axes, at the int64 extremes
     extremes = np.array([-(2**63), -(2**63) + 1, -7, -1, 0, 1, 2**63 - 1], dtype=np.int64)
     for A, C in ((1, 5), (5, 1), (3, 4), (0, 3), (2, 0)):
         h0, h1 = _random_states(rng, (A * C,))
-        for chain in ((), (0,), (2**63 - 1, -(2**63), -1)):
+        for chain in (extremes[:0], extremes[4:5], np.array([2**63 - 1, -(2**63), -1], dtype=np.int64)):
             for labels in (extremes, extremes[3:4], extremes[:0]):
                 yield "extend_states", (h0, h1, chain, labels, np.zeros(2 * A * labels.size * C, np.uint64), A, C)
 
@@ -242,7 +248,7 @@ def test_kernel_entries_match_numpy_references():
             copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
             entry(*copies)
             runs.append([a.tobytes() for a in copies if isinstance(a, np.ndarray)])
-        assert runs[0] == runs[1], (name, [a for a in args if isinstance(a, (int, tuple))])
+        assert runs[0] == runs[1], (name, [a for a in args if isinstance(a, int)])
         seen.add(name)
     assert seen == set(references)
 
@@ -311,7 +317,7 @@ def test_compiled_ndtri_matches_scipy_on_every_branch():
 
 
 def _broadcast_chain(h0, h1, labels):
-    """The absorb chain on numpy's broadcast of the labels against the states: the layout the outer product keeps."""
+    """The absorb chain on numpy's broadcast of the labels against the states."""
     for label in labels:
         v = np.asarray(label, dtype=np.int64).astype(np.uint64)
         h0 = randomness._mix64(h0 + (v * randomness._GAMMA ^ randomness._ABSORB_A))
@@ -320,28 +326,29 @@ def _broadcast_chain(h0, h1, labels):
 
 
 def test_compiled_key_states_match_numpy_chain():
+    # word (a, l, c) of _extend_state is state a * C + c after the chain and label l: numpy's broadcast
+    # of the states shaped (A, 1, C) against the labels shaped (1, L, 1)
     _require_kernel()
     rng = np.random.default_rng(8)
     extremes = np.array([-(2**63), -(2**63) + 1, -7, -1, 0, 1, 2**63 - 1], dtype=np.int64)
-    h0, h1 = _random_states(rng, (5,))
-    cases = [
-        ((h0, h1), (0, -extremes[:, None])),  # (m, B) terminal keys
-        ((h0, h1), (2**63 - 1, extremes[:, None])),
-        ((h0[:, None], h1[:, None]), (extremes,)),  # (B, g) rank keys
-        ((h0[:1], h1[:1]), (extremes,)),  # replication lanes
-        ((h0, h1), (-(2**63), 0, 3)),  # scalar chain
-        ((h0.reshape(5, 1, 1), h1.reshape(5, 1, 1)), (-1, extremes.reshape(1, 7, 1))),
-        ((h0, h1), (np.arange(0)[:, None],)),
+    h0, h1 = _random_states(rng, (6,))
+    cases = [  # (states, chain, labels, A)
+        ((h0, h1), (0,), -extremes, 1),  # terminal keys, label-major over the states
+        ((h0, h1), (2**63 - 1,), extremes, 1),  # path keys
+        ((h0, h1), (), extremes, 6),  # rank keys, state-major
+        ((h0[:1], h1[:1]), (), extremes, 1),  # replication lanes
+        ((h0[:1], h1[:1]), (-(2**63), 0), extremes[6:], 1),  # a whole key, as state_for_key derives it
+        ((h0, h1), (-1,), extremes, 2),  # two blocks of three states
+        ((h0[:0], h1[:0]), (5,), extremes, 1),  # no states
+        ((h0, h1), (1, 2), extremes[:0], 3),  # no labels
     ]
-    for (a0, a1), labels in cases:
-        got = _extend_state(a0, a1, *labels)
-        want = _broadcast_chain(a0, a1, labels)
-        assert got[0].shape == want[0].shape
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), labels
-    with pytest.raises(ValueError, match="outer product"):
-        _extend_state(h0, h1, np.arange(5))  # elementwise, not an outer product
-    with pytest.raises(ValueError, match="outer product"):
-        _extend_state(h0, h1, np.arange(2), 1)  # an array before the last label
+    for (a0, a1), chain, labels, A in cases:
+        chain = np.array(chain, dtype=np.int64)
+        got = _extend_state(a0, a1, chain, labels, A)
+        C = a0.size // A
+        want = _broadcast_chain(a0.reshape(A, 1, C), a1.reshape(A, 1, C), (*chain, labels.reshape(1, -1, 1)))
+        assert got[0].shape == got[1].shape == (A, labels.size, C)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (chain, labels, A)
 
 
 def test_kernel_build_failure_falls_back_to_numpy(tmp_path, monkeypatch):
@@ -375,18 +382,18 @@ def test_kernel_build_failure_falls_back_to_numpy(tmp_path, monkeypatch):
 
     rng = np.random.default_rng(5)
     h0, h1 = _random_states(rng, (4, 3))
-    labels = np.arange(-3, 3)[:, None, None]
+    labels = np.arange(-3, 3)
     scales = rng.uniform(0.1, 1.0, size=(3, 2))
     expected = (
         _standard_normals(h0, h1, 3, scales),
         _standard_normals(h0, h1, 3, np.ones(1)),
-        *_extend_state(h0, h1, 2, labels),
+        *_extend_state(h0, h1, np.array([2]), labels, 4),  # A = 4 blocks of C = 3 states
     )
     monkeypatch.setattr(_bits, "_KERNEL", None)
     fallback = (
         _standard_normals(h0, h1, 3, scales),
         _standard_normals(h0, h1, 3, np.ones(1)),
-        *_extend_state(h0, h1, 2, labels),
+        *_extend_state(h0, h1, np.array([2]), labels, 4),  # A = 4 blocks of C = 3 states
     )
     for got, want in zip(fallback, expected):
         assert got.shape == want.shape and np.array_equal(got, want)
@@ -405,7 +412,7 @@ def test_kernel_entries_guard_their_buffers():
         "units_from_words": ([u64, np.empty(24)], [], 1),
         "ndtri_array": ([f64, np.empty(48)], [], 1),
         "brownian_paths": ([u64[:6], u64[6:12], f64[:6], np.empty(6 * 3 * 4)], [2, 3, 4], 3),
-        "extend_states": ([u64[:6], u64[6:12], (1, 2), i64[:4], np.empty(2 * 6 * 4, dtype=np.uint64)], [6, 1], 4),
+        "extend_states": ([u64[:6], u64[6:12], i64[20:22], i64[:4], np.empty(2 * 6 * 4, dtype=np.uint64)], [6, 1], 4),
         "node_sums": ([f64[:6], f64[:12], np.empty(3), np.empty(6)], [2, 3, 2], 2),
         "shifted_points": ([f64[:6], f64, np.empty(24)], [2, 3, 4, 2, 1, 2], 2),
         "node_terms": ([f64[:12], f64, f64[:4], f64[4:8], f64[:1], np.zeros(9)], [2, 3, 2, 4, 2, 1, 0], 5),
@@ -415,10 +422,12 @@ def test_kernel_entries_guard_their_buffers():
         buffers = [i for i, a in enumerate(arrays) if isinstance(a, np.ndarray)]
         for i in buffers:
             a = arrays[i]
-            wrong_type = a.astype(np.float64 if a.dtype != np.float64 else np.uint64)
-            strided = np.empty(2 * a.size, a.dtype)[::2]  # a one-item view counts as contiguous
-            short = a[:-1].copy()
-            for bad in (wrong_type, short, a.tolist()) + ((strided,) if a.size > 1 else ()):
+            bads = [a.astype(np.float64 if a.dtype != np.float64 else np.uint64), a.tolist()]  # wrong type
+            if (name, i) != ("extend_states", 2):  # short; a chain of any length is valid
+                bads.append(a[:-1].copy())
+            if a.size > 1:  # strided; a one-item view counts as contiguous
+                bads.append(np.empty(2 * a.size, a.dtype)[::2])
+            for bad in bads:
                 args = arrays[:i] + [bad] + arrays[i + 1 :]
                 before = arrays[at].copy()
                 with pytest.raises((TypeError, ValueError)):
@@ -434,8 +443,11 @@ def test_kernel_entries_guard_their_buffers():
                     getattr(k, name)(*arrays, *bad)
         with pytest.raises(TypeError):
             getattr(k, name)(*(arrays + sizes)[:-1])  # an argument short
-    with pytest.raises(ValueError, match="outer product"):
-        k.extend_states(u64[:6], u64[6:12], (np.arange(2),), i64[:4], np.empty(48, dtype=np.uint64), 6, 1)
+    # a float chain, and states that are not A * C words
+    with pytest.raises(TypeError, match="chain must hold int64 items"):
+        k.extend_states(u64[:6], u64[6:12], np.array([1.0, 2.0]), i64[:4], np.empty(48, dtype=np.uint64), 6, 1)
+    with pytest.raises(ValueError, match="h0 holds 5 items, need 6"):
+        k.extend_states(u64[:5], u64[6:12], i64[:2], i64[:4], np.empty(48, dtype=np.uint64), 6, 1)
     # lanes that are not a multiple of the B rows of scales, nodes k0..k0 + g - 1 that are not among
     # the Q, and per-lane weights without per-lane times
     with pytest.raises(ValueError, match="not a multiple of B=2"):
@@ -521,13 +533,13 @@ def test_within_stream_autocorrelation_small():
 def test_extension_order_matters():
     # absorbing (a, b) and (b, a) must give different states
     h0, h1 = state_for_key(0, ())
-    ab = _extend_state(*_extend_state(h0, h1, 3), 5)
-    ba = _extend_state(*_extend_state(h0, h1, 5), 3)
-    assert (ab[0][0], ab[1][0]) != (ba[0][0], ba[1][0])
+    three, five = np.array([3], dtype=np.int64), np.array([5], dtype=np.int64)
+    ab, ba = _extend_state(h0, h1, three, five), _extend_state(h0, h1, five, three)
+    assert (ab[0].item(), ab[1].item()) != (ba[0].item(), ba[1].item())
 
 
 def test_uniforms_strictly_inside_unit_interval():
     h0, h1 = state_for_key(0, (42,))
-    rh0, rh1 = _extend_state(h0, h1, np.arange(10_000, dtype=np.int64))
+    rh0, rh1 = _siblings(h0, h1, 10_000)
     u = uniforms_from_states(rh0, rh1, 4)
     assert np.all(u > 0.0) and np.all(u < 1.0)

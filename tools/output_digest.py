@@ -19,7 +19,11 @@ at s = 0 and 0.4.  The point estimates run at the default fold cap and
 at a cap of 40 Gaussians, which splits the Q nodes into groups of one
 and of several; together with M = 1 (one sample per level) and the
 replication batches they run B = 1 and B > 1 lanes, shared and
-per-lane times.  It takes some seconds.
+per-lane times.  It also covers the public key API: the state words of
+``state_for_key`` and the increments of ``sample_path`` for keys from
+the empty one to five labels, at the int64 extremes and at two seeds,
+and the point the CLI draws for ``--x random-in-box``.  It takes some
+seconds.
 """
 
 from __future__ import annotations
@@ -29,12 +33,14 @@ import sys
 
 import numpy as np
 
-from mlpicard import _bits, mlp_core
+from mlpicard import _bits, cli, mlp_core
 from mlpicard.mlp_core import CostCounters, discrete_fk_residual, mc_l2_error, mlp_estimate
 from mlpicard.problems import build_problem
+from mlpicard.randomness import sample_path, state_for_key
 
 PROBLEMS = (("manufactured_sine", 2), ("manufactured_sine", 3), ("heat_quadratic", 10))
 LEVELS = [(n, M, Q) for n in (1, 2, 3) for M in (1, 2, 3) for Q in (1, 2, 3)]
+KEYS = ((), (0,), (-(2**63), 2**63 - 1), (3, -1, 0, 2**40, -5))
 
 
 def _feed(digest, *values) -> None:
@@ -48,6 +54,14 @@ def _counts(counters: CostCounters) -> tuple:
 
 def output_digest() -> str:
     digest = hashlib.sha256()
+    for seed in (0, 2**64 - 1):
+        for key in KEYS:
+            for words in state_for_key(seed, key):
+                digest.update(words.tobytes())
+            _feed(digest, sample_path(seed, key, 3, 0.25, [0.5, 0.75, 1.5]).increments)
+    for name, dim in PROBLEMS:
+        config = cli.ExperimentConfig(problem=name, dim=dim, x="random-in-box", seed=9)
+        _feed(digest, cli._resolve_x(config, build_problem(name, dim=dim)))
     default_cap = mlp_core._FOLD_CAP
     for name, dim in PROBLEMS:
         problem = build_problem(name, dim=dim)
