@@ -32,6 +32,20 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis; on short rows numpy's per-row reduction costs about 25x a column add.
+
+    Same bits up to the sign of a zero sum for d <= 7; numpy's pairwise order from 8.
+    """
+    d = x.shape[-1]
+    if d > 7:
+        return np.sum(x, axis=-1)
+    total = x[..., 0]
+    for i in range(1, d):
+        total = total + x[..., i]
+    return total
+
+
 def heat_quadratic(dim: int, horizon: float = 1.0, box_radius: float = 3.0) -> Problem:
     """Zero nonlinearity with quadratic terminal g(x) = |x|^2.
 
@@ -46,7 +60,7 @@ def heat_quadratic(dim: int, horizon: float = 1.0, box_radius: float = 3.0) -> P
 
     def terminal(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.sum(x * x, axis=-1)
+        return _row_sum(x * x)
 
     def nonlinearity(t: float, x: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.zeros(np.shape(w))
@@ -54,7 +68,7 @@ def heat_quadratic(dim: int, horizon: float = 1.0, box_radius: float = 3.0) -> P
     def exact(t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape[:-1] + (d + 1,))
-        out[..., 0] = np.sum(x * x, axis=-1) + d * (T - t)
+        out[..., 0] = _row_sum(x * x) + d * (T - t)
         out[..., 1:] = 2.0 * x
         return out
 
@@ -106,7 +120,7 @@ def manufactured_sine(
     kappa = 0.5 * d * c * c
 
     def phase(t: float, x: np.ndarray) -> np.ndarray:
-        return t + c * np.sum(np.asarray(x, dtype=float), axis=-1)
+        return t + c * _row_sum(np.asarray(x, dtype=float))
 
     def terminal(x: np.ndarray) -> np.ndarray:
         return np.sin(phase(T, x))

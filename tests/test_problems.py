@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from mlpicard import cli
+from mlpicard import cli, problems
 from mlpicard.mlp_core import Problem
 from mlpicard.problems import (
     PROBLEMS,
@@ -13,6 +13,7 @@ from mlpicard.problems import (
     manufactured_sine,
     pde_residual_fd,
 )
+from mlpicard.quadrature import build_rule, scale_weight
 from mlpicard.selfcheck import lipschitz_margins
 
 
@@ -201,3 +202,49 @@ def test_builder_validation():
         value = ["a"] * len(kwargs[name])
         with pytest.raises(ValueError, match=f"^{name} must hold finite real numbers >= 0.0, got {re.escape(repr(value))}$"):
             Problem(**{**kwargs, name: value})
+
+
+def _rows(rng, rows: int, d: int) -> np.ndarray:
+    """Uniform rows with some entries set to +-0.0 or scaled by e^+-40, and a sixth of the rows all signed zeros."""
+    x = rng.uniform(-1.0, 1.0, size=(rows, d))
+    marks = rng.integers(0, 9, size=(rows, d))
+    x[marks == 0] = 0.0
+    x[marks == 1] = -0.0
+    x[marks == 2] *= math.exp(40.0)
+    x[marks == 3] *= math.exp(-40.0)
+    x[rows // 2:][::3] = rng.choice([0.0, -0.0], size=x[rows // 2:][::3].shape)
+    return x
+
+
+def _layouts(x: np.ndarray) -> dict:
+    wide = np.ones((2 * x.shape[0], x.shape[1] + 3))
+    wide[::2, 1:-2] = x
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x), "strided": wide[::2, 1:-2]}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 10])
+def test_problem_row_sums_give_the_bits_of_np_sum(d, monkeypatch):
+    # the reference is each problem's own f, g and exact with np.sum as the row sum; from d = 8 a
+    # column sum would round differently, which pins the threshold where numpy's order changes
+    rng = np.random.default_rng(100 + d)
+    shipped = [build_problem(name, d) for name in sorted(PROBLEMS)]
+    T = shipped[0].horizon
+    times = (0.0, scale_weight(build_rule(3), 0.4, T, 2)[0], T)
+    for rows in (1, 5, 8191, 8193, 70_000):
+        x = _rows(rng, rows, d)
+        w, z = rng.normal(size=rows), rng.normal(size=(rows, d))
+        if d >= 8 and rows > 5:
+            assert not np.array_equal(sum((x[:, i] for i in range(1, d)), x[:, 0]), np.sum(x, axis=-1))
+        for layout, xl in _layouts(x).items():
+            for problem in shipped:
+                calls = [("terminal", lambda: problem.terminal(xl))]
+                for t in times:
+                    calls += [(f"nonlinearity t={t}", lambda t=t: problem.nonlinearity(t, xl, w, z)),
+                              (f"exact t={t}", lambda t=t: problem.exact(t, xl))]
+                with monkeypatch.context() as patch:
+                    patch.setattr(problems, "_row_sum", lambda a: np.sum(a, axis=-1))
+                    reference = [call() for _, call in calls]
+                for (label, call), ref in zip(calls, reference):
+                    got = np.asarray(call())
+                    assert got.shape == ref.shape
+                    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (problem.name, rows, layout, label)

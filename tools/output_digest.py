@@ -14,12 +14,13 @@ those of its parent commit; run a copy of this script there to compare.
 The digest covers ``mlp_estimate`` components and counters at every
 level with n, M, Q <= 3 plus one n = M = Q = 4 point, ``mc_l2_error``
 at 1 and 2 threads and ``discrete_fk_residual`` at n = 1 and 2, for
-sine d = 2 and 3 and heat d = 10 (the residual check only up to d = 3),
-at s = 0 and 0.4.  The point estimates run at the default fold cap and
-at a cap of 40 Gaussians, which splits the Q nodes into groups of one
-and of several; together with M = 1 (one sample per level) and the
-replication batches they run B = 1 and B > 1 lanes, shared and
-per-lane times.  It also covers the public key API: the state words of
+sine d = 2, 3 and 8 and heat d = 3 and 10 (the residual check only up to
+d = 3), at s = 0 and 0.4, so each problem runs on both sides of the
+d <= 7 row sums of ``problems``.  The point estimates run at the default
+fold cap and at a cap of 40 Gaussians, which splits the Q nodes into
+groups of one and of several; together with M = 1 (one sample per
+level) and the replication batches they run B = 1 and B > 1 lanes,
+shared and per-lane times.  It also covers the public key API: the state words of
 ``state_for_key`` and the increments of ``sample_path`` for keys from
 the empty one to five labels, at the int64 extremes and at two seeds,
 and the point the CLI draws for ``--x random-in-box``.  It takes some
@@ -38,7 +39,10 @@ from mlpicard.mlp_core import CostCounters, discrete_fk_residual, mc_l2_error, m
 from mlpicard.problems import build_problem
 from mlpicard.randomness import sample_path, state_for_key
 
-PROBLEMS = (("manufactured_sine", 2), ("manufactured_sine", 3), ("heat_quadratic", 10))
+PROBLEMS = (
+    ("manufactured_sine", 2), ("manufactured_sine", 3), ("manufactured_sine", 8),
+    ("heat_quadratic", 3), ("heat_quadratic", 10),
+)
 LEVELS = [(n, M, Q) for n in (1, 2, 3) for M in (1, 2, 3) for Q in (1, 2, 3)]
 KEYS = ((), (0,), (-(2**63), 2**63 - 1), (3, -1, 0, 2**40, -5))
 
