@@ -13,10 +13,11 @@ Python headers into a CPython extension module in ``__pycache__``
 (later imports load the cached module; a build removes those it
 replaces), holds the hot loops.  That module is ``_KERNEL``, whose
 entries :mod:`mlpicard.randomness` and :mod:`mlpicard.mlp_core` call
-directly, each with a numpy reference beside it that takes the same
-arguments.  An entry takes its inputs, the outputs its caller allocated
-and the sizes, checks each buffer's item type, contiguity and length in
-C, and releases the GIL around its loop, so replication threads
+directly; in each, a ``_NUMPY`` namespace of numpy references stands in
+for it under the same entry names and arguments.  An entry takes its
+inputs, the outputs its caller allocated and the sizes, checks each
+buffer's item type, contiguity and length in C, and releases the GIL
+around its loop, so that replication threads
 overlap.  The kernel fuses the whole Gaussian path draw into passes over
 chunks of 512 values: the Philox blocks of the chunk's lane segments in
 one counted loop into a word buffer, the words to doubles, then the
@@ -42,7 +43,8 @@ scalar libm ``log``, so no fused multiply-add or vector approximation
 changes a rounding: every result is bit-identical to the numpy/scipy
 references, which run instead when there is no compiler, no
 ``Python.h`` or no writable cache (``_FALLBACK_REASON`` says which),
-and which the tests compare against.
+and which one case table, ``selfcheck._kernel_cases``, compares against
+under ``mlpicard selfcheck`` and the tests alike.
 """
 
 from __future__ import annotations
@@ -90,18 +92,13 @@ def uniforms_from_states(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndar
     h0, h1 : np.ndarray
         uint64 state words, any common shape.
     n_vals : int
-        Number of uniforms per lane.
+        Number of uniforms per lane, at least 1.
 
     Returns
     -------
     np.ndarray
         float64 array of shape ``h0.shape + (n_vals,)``.
     """
-    if n_vals < 1:
-        raise ValueError(f"need n_vals >= 1, got {n_vals}")
-    h0, h1 = np.asarray(h0, dtype=np.uint64), np.asarray(h1, dtype=np.uint64)
-    if h0.shape != h1.shape:
-        raise ValueError("state words must have matching shapes")
     shape = h0.shape + (n_vals,)
     h0, h1 = h0.reshape(-1, 1), h1.reshape(-1, 1)
     n_blocks = (n_vals + 1) // 2

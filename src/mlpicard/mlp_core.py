@@ -23,10 +23,9 @@ independent of chunking and thread count.
 
 ``_mlp_batch`` allocates the outputs of its array work -- the terminal
 term's sample sums, each node group's shifted points -- and passes them,
-with the sizes, straight to an entry of the compiled kernel of
-:mod:`mlpicard._bits` or, when it did not load, to the numpy reference
-here that takes the same arguments (``_node_sums_numpy``,
-``_points_numpy``, ``_node_terms_numpy``) and writes the same bits.
+with the sizes, to the compiled kernel of :mod:`mlpicard._bits` or, when
+it did not load, to ``_NUMPY``: the numpy references here, under the
+kernel's entry names, with the same arguments and the same bits.
 
 All user functions are evaluated on batches: ``g(x)`` maps (L, d) to
 (L,), ``f(t, x, w, z)`` maps a time ``t`` -- a float, or an (L,) array
@@ -47,6 +46,7 @@ recursions of :mod:`mlpicard.analysis` exactly.
 
 from __future__ import annotations
 
+import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -302,7 +302,7 @@ def _node_terms_numpy(f, dw, weights, nodes, s, out: np.ndarray, m, B, g, Q, d, 
         out[:, 1:] += (w_over_m / (nodes[..., k] - s))[..., None] * sfw
 
 
-_REFERENCES = (_node_sums_numpy, _points_numpy, _node_terms_numpy)
+_NUMPY = types.SimpleNamespace(node_sums=_node_sums_numpy, shifted_points=_points_numpy, node_terms=_node_terms_numpy)
 _NO_CHAIN = np.zeros(0, dtype=np.int64)
 
 
@@ -347,8 +347,7 @@ def _mlp_batch(
     B, d = x.shape
     if n == 0:
         return np.zeros((B, d + 1))
-    k = _bits._KERNEL  # the array work: compiled, or numpy's references with the same arguments
-    node_sums, points, node_terms = (k.node_sums, k.shifted_points, k.node_terms) if k is not None else _REFERENCES
+    ops = _bits._KERNEL or _NUMPY  # the array work: compiled, or numpy's references with the same arguments
 
     s = np.asarray(s, dtype=float)
     span = problem.horizon - s
@@ -367,7 +366,7 @@ def _mlp_batch(
     gy = _evaluate(problem.terminal, "terminal", (m * B,), _read_only((x[None, :, :] + dw).reshape(m * B, d)))
     counters.g_evals += m * B
     sf, sfw = np.empty(B), np.empty((B, d))
-    node_sums(gy.reshape(m, B) - gx[None, :], dw, sf, sfw, m, B, d)
+    ops.node_sums(gy.reshape(m, B) - gx[None, :], dw, sf, sfw, m, B, d)
     out[:, 0] += sf / m
     out[:, 1:] += sfw / (m * span)[..., None]
 
@@ -393,7 +392,7 @@ def _mlp_batch(
             t = nodes[..., k0 : k0 + g]
             t = t.item() if t.size == 1 else _read_only(np.broadcast_to(t, (m, B, g)).reshape(lanes))
             y = np.empty((lanes, d))
-            points(x, dw_nodes, y, m, B, Q, d, k0, g)
+            ops.shifted_points(x, dw_nodes, y, m, B, Q, d, k0, g)
             y.flags.writeable = False
 
             # keys (key, level, i, rank)
@@ -408,7 +407,7 @@ def _mlp_batch(
 
             # accumulate node by node in k order, as an unfolded call would; s may be a strided view of
             # the parent's node times
-            node_terms(fv, dw_nodes, weights, nodes, np.ascontiguousarray(s), out, m, B, g, Q, d, k0, s.ndim)
+            ops.node_terms(fv, dw_nodes, weights, nodes, np.ascontiguousarray(s), out, m, B, g, Q, d, k0, s.ndim)
     return out
 
 
@@ -433,12 +432,13 @@ def mlp_estimate(
     (fresh ones if omitted).
     """
     x = check_request(problem, n, M, Q, s, x, seed, key)
+    s = float(s) + 0.0  # check_request lets -0.0 through; every time from here on is +0.0 or above
     counters = CostCounters() if counters is None else counters
     _check_instance("counters", counters, CostCounters)
     h0, h1 = state_for_key(seed, key)
     rule = build_rule(Q)
     with np.errstate(all="ignore"):  # an overflow surfaces as the non-finite check's error, not as warnings
-        components = _mlp_batch(problem, n, M, Q, rule, h0, h1, float(s), x[None, :], counters)[0]
+        components = _mlp_batch(problem, n, M, Q, rule, h0, h1, s, x[None, :], counters)[0]
     if not np.all(np.isfinite(components)):
         raise EvaluationError("estimator produced non-finite components")
     return Estimate(components=components)
@@ -522,6 +522,7 @@ def mc_l2_error(
     """
     _check_integer("replications", replications, 2)  # check_request reads None as a single estimate
     x = check_request(problem, n, M, Q, s, x, seed, key, replications, threads)
+    s = float(s) + 0.0  # as in mlp_estimate
     if problem.exact is None:
         raise ValueError("mc_l2_error requires a problem with an exact solution")
     counters = CostCounters() if counters is None else counters
@@ -534,7 +535,7 @@ def mc_l2_error(
     if not np.all(np.isfinite(estimates)):
         raise EvaluationError("estimator produced non-finite components")
 
-    exact = _evaluate(problem.exact, "exact", (1, problem.dim + 1), float(s), x[None, :])[0]
+    exact = _evaluate(problem.exact, "exact", (1, problem.dim + 1), s, x[None, :])[0]
     sq = (estimates - exact[None, :]) ** 2  # (R, d+1)
     R = replications
     totals = sq.sum(axis=0)
@@ -613,7 +614,7 @@ def discrete_fk_residual(
     x = check_request(problem, n, M, Q, s, x, seed, key, replications)
     for name, value, high in (("n", n, 2), ("M", M, 3), ("Q", Q, 3), ("problem.dim", problem.dim, 3)):
         _check_integer(f"residual check {name}", value, 1, high)
-    d, R, s = problem.dim, replications, float(s)
+    d, R, s = problem.dim, replications, float(s) + 0.0  # as in mlp_estimate
     rule = build_rule(Q)
     counters = CostCounters()
 

@@ -16,9 +16,8 @@ every state and then each of a batch of labels.  Each allocates its
 output once and passes it, with the sizes, to one entry of the compiled
 kernel of :mod:`mlpicard._bits` (``brownian_paths`` fuses bits, inverse
 CDF, scaling and sum, and ``extend_states`` runs the whole absorb chain)
-or, when the kernel did not load, to the numpy and scipy reference
-below, ``_paths_numpy`` or ``_extend_numpy``, which takes the same
-arguments and writes the same bits.
+or, when the kernel did not load, to ``_NUMPY``: the numpy and scipy
+references below, under the entry names, with the same arguments and bits.
 
 Within one path the draw for (time rank j, coordinate c) sits at stream
 position j * d + c.  Querying the same key with a prefix of a time list
@@ -28,6 +27,7 @@ the path.
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -93,8 +93,7 @@ def _extend_state(h0: np.ndarray, h1: np.ndarray, chain: np.ndarray, labels: np.
     state its own run of labels.
     """
     out = np.empty((2, A, labels.size, h0.size // A), dtype=np.uint64)
-    extend = _extend_numpy if _bits._KERNEL is None else _bits._KERNEL.extend_states
-    extend(h0, h1, chain, labels, out, A, out.shape[3])
+    (_bits._KERNEL or _NUMPY).extend_states(h0, h1, chain, labels, out, A, out.shape[3])
     return out[0], out[1]
 
 
@@ -131,6 +130,9 @@ def _paths_numpy(h0, h1, scales, out: np.ndarray, B: int, Q: int, d: int) -> Non
     np.cumsum(z * np.reshape(scales, (B, Q, 1)), axis=2, out=out.reshape(z.shape))
 
 
+_NUMPY = types.SimpleNamespace(brownian_paths=_paths_numpy, extend_states=_extend_numpy)
+
+
 def _standard_normals(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -> np.ndarray:
     """Scaled running sums of N(0, 1) draws, shape ``h0.shape + (Q * d,)``.
 
@@ -143,8 +145,7 @@ def _standard_normals(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray
     """
     Q = scales.shape[-1]
     out = np.empty(h0.shape + (Q * d,))
-    paths = _paths_numpy if _bits._KERNEL is None else _bits._KERNEL.brownian_paths
-    paths(h0, h1, scales, out, scales.size // Q, Q, d)
+    (_bits._KERNEL or _NUMPY).brownian_paths(h0, h1, scales, out, scales.size // Q, Q, d)
     return out
 
 

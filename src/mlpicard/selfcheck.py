@@ -10,6 +10,8 @@ or cost plumbing surfaces here.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
@@ -182,52 +184,69 @@ def _check_cost_model() -> tuple[bool, str]:
     return True, "counters equal the recursions; closed-form caps hold for N <= 8"
 
 
+# ndtri's branch edges: both ends, the smallest doubles and those next to 1, and, with their neighbours one
+# ulp either side, the switches to the tail rationals at exp(-2) and 1 - exp(-2) and to the far tail at
+# exp(-32); the libm log behind the tails is what differs between machines
+_NDTRI_EDGES = np.concatenate([[0.0, 1.0, 2.0**-54, 5e-324, 1e-300, 1e-20, 1.0 - 2.0**-53, 1.0 - 2.0**-52], *(
+    [np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)] for e in (np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0)))])
+
+
 def _kernel_cases(rng: np.random.Generator):
-    """(kernel entry, its numpy reference, their arguments): paths, states, and node groups of one and of
-    several nodes with shared and per-lane times; f of either sign of zero shows the sign of a zero sum."""
-    for lanes, B, Q, d in ((0, 1, 1, 1), (1, 1, 1, 3), (7, 7, 3, 2), (600, 3, 4, 10)):
-        h0, h1 = rng.integers(0, 2**64, size=(2, lanes), dtype=np.uint64)
-        paths = (h0, h1, rng.uniform(0.1, 1.0, size=(B, Q)), np.empty(lanes * Q * d), B, Q, d)
-        yield "brownian_paths", randomness._paths_numpy, paths
-        labels = rng.integers(-(2**63), 2**63, size=4, dtype=np.int64)
-        for chain in ((), (0,), (2**63 - 1, -(2**63))):
-            states = (h0, h1, np.array(chain, dtype=np.int64), labels, np.empty(2 * lanes * 4, dtype=np.uint64), lanes, 1)
-            yield "extend_states", randomness._extend_numpy, states
-    for m, B, g, Q, d, k0 in ((1, 1, 1, 1, 1, 0), (3, 4, 2, 5, 10, 3), (16, 2, 4, 4, 2, 0)):
+    """(entry, arguments) of the cases where the kernel must leave its numpy reference's bytes; outputs start
+    as NaN words, so an unwritten one shows, but node terms add into a start that is part of the case."""
+    for L, B, Q, d in ((0, 1, 2, 2), (3, 1, 3, 3), (511, 1, 1, 1), (171, 1, 3, 1), (513, 3, 1, 1), (2, 2, 1, 513),
+                       (64, 16, 4, 10), (9, 9, 3, 2), (1000, 10, 7, 3)):  # 511, 513, 1,026 values by the 512 chunk
+        h0, h1 = rng.integers(0, 2**64, size=(2, L), dtype=np.uint64)
+        for b in (1, B):  # one row of scales over all lanes, and B rows
+            yield "brownian_paths", (h0, h1, rng.uniform(0.1, 2.0, (b, Q)), np.full(L * Q * d, np.nan), b, Q, d)
+    ends = np.array([-(2**63), -(2**63) + 1, -7, -1, 0, 1, 2**63 - 1], dtype=np.int64)
+    for A, C in ((1, 5), (5, 1), (3, 4), (0, 3), (2, 0)):
+        h0, h1 = rng.integers(0, 2**64, size=(2, A * C), dtype=np.uint64)
+        for chain, batch in itertools.product((ends[:0], ends[4:5], ends[[6, 0, 3]]), (ends, ends[3:4], ends[:0])):
+            yield "extend_states", (h0, h1, chain, batch, np.full(2 * A * len(batch) * C, np.nan).view(np.uint64), A, C)
+    for m, B, g, Q, d, k0 in ((7, 5, 3, 4, 2, 1), (1, 1, 1, 1, 1, 0), (9, 1, 1, 3, 4, 2), (5, 1, 2, 2, 1, 0),
+                              (1, 6, 2, 2, 3, 0), (16, 64, 4, 4, 10, 0), (3, 2, 1, 1, 1, 0), (4, 3, 2, 5, 10, 3)):
         x, dw, s = rng.normal(size=(B, d)), rng.normal(size=(m, B, Q, d)), rng.uniform(0.0, 0.5, size=B)
-        yield "shifted_points", mlp_core._points_numpy, (x, dw, np.empty(m * B * g * d), m, B, Q, d, k0, g)
-        for f in (rng.normal(size=(m, B, g)), -np.zeros((m, B, g))):
-            sums = (f[:, :, 0].copy(), dw[:, :, 0].copy(), np.empty(B), np.empty((B, d)), m, B, d)
-            yield "node_sums", mlp_core._node_sums_numpy, sums
-            w, lag = rng.uniform(size=(2, B, Q))  # per-lane weights, and nodes less s
-            for lane, times in ((0, (w[0], 0.6 + lag[0], np.full(1, 0.5))), (1, (w, s[:, None] + lag, s))):
-                terms = (f, dw, *times, np.full((B, d + 1), -0.0), m, B, g, Q, d, k0, lane)
-                yield "node_terms", mlp_core._node_terms_numpy, terms
+        yield "shifted_points", (x, dw, np.full(m * B * g * d, np.nan), m, B, Q, d, k0, g)
+        for f in (rng.normal(size=(m, B, g)), np.zeros((m, B, g)), -np.zeros((m, B, g))):  # zero sums' signs show
+            for j in range(g):
+                sums = (f[:, :, j].copy(), dw[:, :, k0 + j].copy(), np.full(B, np.nan), np.full((B, d), np.nan))
+                yield "node_sums", (*sums, m, B, d)
+            w, lag = rng.uniform(0.1, 1.0, size=(2, B, Q))  # per-lane weights, and nodes less s
+            times = ((w[0], 0.4 + lag[0], np.full(1, 0.4)), (w, s[:, None] + lag, s))  # shared, per lane
+            for start, lane in itertools.product((rng.normal(size=(B, d + 1)), np.full((B, d + 1), -0.0)), (0, 1)):
+                yield "node_terms", (f, dw, *times[lane], start, m, B, g, Q, d, k0, lane)
+
+
+def _matches_reference(name: str, args: tuple) -> bool:
+    """Whether kernel entry ``name`` and its numpy stand-in leave the same bytes, each on fresh copies of ``args``."""
+    runs = []
+    for entry in (getattr(_bits._KERNEL, name), (vars(randomness._NUMPY) | vars(mlp_core._NUMPY))[name]):
+        copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        entry(*copies)
+        runs.append([a.tobytes() for a in copies if isinstance(a, np.ndarray)])
+    return runs[0] == runs[1]
 
 
 def _check_bit_kernel() -> tuple[bool, str]:
-    """Compiled paths, states, ndtri and node-group entries against the numpy/scipy reference, bitwise."""
+    """Every case of ``_kernel_cases`` and an ndtri sweep against the numpy/scipy reference, bitwise."""
     if _bits._KERNEL is None:
         return True, f"numpy fallback runs ({_bits._FALLBACK_REASON or 'kernel switched off'}); nothing to compare"
-    for name, reference, args in _kernel_cases(np.random.default_rng(41)):
-        runs = []  # each on fresh copies of the arguments, which must come out the same bytes
-        for entry in (getattr(_bits._KERNEL, name), reference):
-            copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-            entry(*copies)
-            runs.append([a.tobytes() for a in copies if isinstance(a, np.ndarray)])
-        if runs[0] != runs[1]:
+    counts = collections.Counter()
+    for name, args in _kernel_cases(np.random.default_rng(41)):
+        if not _matches_reference(name, args):
             return False, f"{name} differs from its reference at sizes {[a for a in args if isinstance(a, int)]}"
-    # all three ndtri branches, the far tail (u < exp(-32)) and both ends
-    u = np.concatenate([np.exp(-np.linspace(0.0, 700.0, 2001)), 1.0 - np.exp(-np.linspace(0.0, 36.0, 2001))])
+        counts[name] += 1
+    # the branch edges, then sweeps of the lower tail to exp(-700) and of the upper one
+    u = np.concatenate([_NDTRI_EDGES, np.exp(-np.linspace(0.0, 700.0, 2001)),
+                        1.0 - np.exp(-np.linspace(0.0, 36.0, 2001))])
     z = np.empty_like(u)
     _bits._KERNEL.ndtri_array(u, z)
-    if not np.array_equal(z, ndtri(u)):
+    if z.tobytes() != ndtri(u).tobytes():
         return False, "ndtri differs from scipy.special.ndtri"
-    isa = _bits._KERNEL.kernel_isa()
-    return True, (
-        f"compiled kernel runs ({isa} clone); paths, states, ndtri, shifted points, node sums and node terms "
-        "equal the numpy/scipy reference bitwise"
-    )
+    cases = ", ".join(f"{name} {count}" for name, count in counts.items())
+    return True, (f"compiled kernel runs ({_bits._KERNEL.kernel_isa()} clone); equal to the numpy/scipy reference "
+                  f"bitwise, cases per entry: {cases}; ndtri on {u.size:,} values")
 
 
 def _check_problem_residuals() -> tuple[bool, str]:

@@ -178,6 +178,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(converge_args(out, "--param", "horizon=0")) == 2
     assert main(converge_args(out, "--x", "1,nan")) == 2
     assert main(converge_args(out, "--level", "3,3,70")) == 2  # Q above 64
+    assert main(converge_args(out, "--level", "1,x,2")) == 2  # not an integer
     assert main(converge_args(out, "--param", "c=nan")) == 2
     assert main(converge_args(out, "--problem", "heat_quadratic", "--param", "box_radius=inf")) == 2
     for key in ("dim", "name"):  # build_problem's own keywords

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from mlpicard import _bits, mlp_core
+from mlpicard import _bits, mlp_core, selfcheck
 from mlpicard.analysis import cost_fe_exact, cost_rn_exact
 from mlpicard.errors import BudgetError, ConfigError, EvaluationError
 from mlpicard.mlp_core import (
@@ -321,69 +321,12 @@ def test_residual_memory_is_bounded_by_one_chunk():
     assert _added_mb(call, mlp_core._LANE_CAP) <= 25.0
 
 
-# (m, B, g, Q, d, k0) of a node group: g nodes from k0 among Q, for m samples of B lanes in dimension d
-_NODE_CASES = ((7, 5, 3, 4, 2, 1), (1, 1, 1, 1, 1, 0), (9, 1, 1, 3, 4, 2), (5, 1, 2, 2, 1, 0),
-               (1, 6, 2, 2, 3, 0), (16, 64, 4, 4, 10, 0), (3, 2, 1, 1, 1, 0), (4, 3, 2, 5, 10, 3))
-
-
-def _node_groups(rng):
-    """(m, B, g, Q, d, k0, dw, f) of each node case, with f random and of either sign of zero: a zero f
-    shows the sign of a zero sum (heat's f is zero, and 0.0 * dW is -0.0 where dW < 0)."""
-    for m, B, g, Q, d, k0 in _NODE_CASES:
-        dw = rng.normal(size=(m, B, Q, d))
-        for f in (rng.normal(size=(m, B, g)), np.zeros((m, B, g)), -np.zeros((m, B, g))):
-            yield m, B, g, Q, d, k0, dw, f
-
-
-def _assert_kernel_matches_reference(name, reference, cases):
-    # the kernel's entry ``name`` and its numpy reference take the same arguments; run on copies of each
-    # argument list, both leave the same bytes in every array, outputs and inputs alike
-    if _bits._KERNEL is None:
-        pytest.skip("no compiled kernel")
-    for args in cases:
-        runs = []
-        for entry in (getattr(_bits._KERNEL, name), reference):
-            copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-            entry(*copies)
-            runs.append([a.tobytes() for a in copies if isinstance(a, np.ndarray)])
-        assert runs[0] == runs[1], (name, [a for a in args if isinstance(a, int)])
-
-
-def test_node_sums_match_sample_sum():
-    # the terminal term's sums, _sample_sum of f and of f * dW in index order; the g > 1 and k0 > 0
-    # groups reach the same sums through node_terms, one node j at a time
-    def cases(rng):
-        for m, B, g, Q, d, k0, dw, f in _node_groups(rng):
-            for j in range(g):
-                yield f[:, :, j].copy(), dw[:, :, k0 + j].copy(), np.full(B, np.nan), np.full((B, d), np.nan), m, B, d
-
-    _assert_kernel_matches_reference("node_sums", mlp_core._node_sums_numpy, cases(np.random.default_rng(12)))
-
-
-def test_node_terms_match_numpy_reference():
-    # start values of -0.0 show the sign of a zero sum; times shared by the lanes and per lane
-    def cases(rng):
-        for m, B, g, Q, d, k0, dw, f in _node_groups(rng):
-            start = rng.normal(size=(B, d + 1)) if f.any() else -np.zeros((B, d + 1))
-            s = rng.uniform(0.0, 0.5, size=B)
-            shared = (rng.uniform(0.1, 1.0, size=Q), 0.4 + rng.uniform(0.1, 0.6, size=Q), np.full(1, 0.4))
-            per_lane = (rng.uniform(0.1, 1.0, size=(B, Q)), s[:, None] + rng.uniform(0.1, 0.6, size=(B, Q)), s)
-            for lane, times in ((0, shared), (1, per_lane)):
-                yield (f, dw, *times, start, m, B, g, Q, d, k0, lane)
-
-    _assert_kernel_matches_reference("node_terms", mlp_core._node_terms_numpy, cases(np.random.default_rng(13)))
-
-
 def test_shifted_points_match_numpy():
-    def cases(rng):
-        for m, B, g, Q, d, k0 in _NODE_CASES:
-            x, dw = rng.normal(size=(B, d)), rng.normal(size=(m, B, Q, d))
-            y = np.full(m * B * g * d, np.nan)
-            mlp_core._points_numpy(x, dw, y, m, B, Q, d, k0, g)
-            assert y.tobytes() == (x[None, :, None] + dw[:, :, k0 : k0 + g]).tobytes(), (m, B, g, Q, d, k0)
-            yield x, dw, np.full(m * B * g * d, np.nan), m, B, Q, d, k0, g
-
-    _assert_kernel_matches_reference("shifted_points", mlp_core._points_numpy, cases(np.random.default_rng(14)))
+    # the numpy stand-in gives numpy's broadcast add on the node groups of selfcheck's cases
+    cases = [args for name, args in selfcheck._kernel_cases(np.random.default_rng(41)) if name == "shifted_points"]
+    for x, dw, y, m, B, Q, d, k0, g in cases:
+        mlp_core._points_numpy(x, dw, y, m, B, Q, d, k0, g)
+        assert y.tobytes() == (x[None, :, None] + dw[:, :, k0 : k0 + g]).tobytes(), (m, B, g, Q, d, k0)
 
 
 def test_level_zero_children_pass_zero_inputs(monkeypatch):
@@ -483,6 +426,40 @@ def test_problem_functions_get_read_only_arguments(name):
     with pytest.raises(ConfigError, match=error):
         mc_l2_error(problem, 2, 2, 2, 0.0, x, 4, threads=2)
     assert x.tolist() == [0.3, -0.2] and x.flags.writeable
+
+
+def test_other_value_errors_of_f_reach_the_caller_unchanged():
+    def nonlinearity(t, x, w, z):
+        raise ValueError("domain")
+
+    problem = dataclasses.replace(manufactured_sine(2), nonlinearity=nonlinearity)
+    with pytest.raises(ValueError, match="^domain$") as raised:
+        mlp_estimate(problem, 1, 1, 1, x=np.zeros(2))
+    assert type(raised.value) is ValueError  # not a ConfigError
+
+
+def test_negative_zero_start_time_runs_as_positive_zero():
+    # check_request lets s = -0.0 through; f and exact see no time with its sign bit set, and every output
+    # has the bytes of the s = +0.0 run
+    base, times = manufactured_sine(2), []
+
+    def record(fn):
+        def recorded(t, *args):
+            times.append(bool(np.signbit(t).any()))
+            return fn(t, *args)
+
+        return recorded
+
+    problem = dataclasses.replace(base, nonlinearity=record(base.nonlinearity), exact=record(base.exact))
+    runs = []
+    for s in (-0.0, 0.0):
+        report = mc_l2_error(problem, 2, 2, 2, s, np.full(2, 0.3), 4, seed=5)
+        residual = discrete_fk_residual(problem, 1, 2, 2, s, np.full(2, 0.3), 4, seed=5)
+        estimate = mlp_estimate(problem, 2, 2, 2, s=s, x=np.full(2, 0.3), seed=5)
+        runs.append([a.tobytes() for a in (report.component_errors, report.estimates, residual.residual,
+                                           residual.radius, estimate.components)])
+    assert len(times) > 4 and not any(times)
+    assert runs[0] == runs[1]
 
 
 def test_mc_l2_error_zero_problem_is_exact():
@@ -586,7 +563,7 @@ def test_domain_validation():
         mlp_estimate(problem, 1, 2, 2, s=0.0, x=np.zeros(3))
     with pytest.raises(ValueError):
         mlp_estimate(problem, 1, 2, 2, s=0.0, x=np.array([np.nan, 0.0]))
-    for s in (None, "0.5", np.zeros(1), 0.5j, False):  # False would be s = 0.0
+    for s in (None, "0.5", np.zeros(1), 0.5j, False, 10**400):  # False would be s = 0.0; 10**400 overflows a float
         with pytest.raises(ValueError, match=f"^s must be a finite real number >= 0.0, got {re.escape(repr(s))}$"):
             mlp_estimate(problem, 1, 2, 2, s=s, x=np.zeros(2))
     for x in (["a", "b"], [1 + 2j, 0], [None, 0.0], np.array([True, False])):
@@ -605,6 +582,8 @@ def test_non_finite_terminal_raises():
     )
     with pytest.raises(EvaluationError):
         mlp_estimate(problem, 1, 2, 2, x=np.zeros(1))
+    with pytest.raises(EvaluationError, match="residual"):  # heat's g overflows at x = 1e200
+        discrete_fk_residual(heat_quadratic(1), 1, 1, 1, 0.0, np.array([1e200]), 2)
 
 
 def test_lipschitz_smoke_under_point_perturbation():

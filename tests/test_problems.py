@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -46,6 +47,18 @@ def test_heat_residual_cancels():
         t = float(rng.uniform(1e-3, 1 - 1e-3))
         x = rng.uniform(-2, 2, size=(1, 2))
         assert abs(float(pde_residual_fd(problem, t, x)[0])) <= 1e-6
+
+
+def test_residual_checker_guards():
+    sine = manufactured_sine(2)
+    with pytest.raises(ValueError, match="requires an exact solution"):
+        pde_residual_fd(dataclasses.replace(sine, exact=None), 0.5, np.zeros((1, 2)))
+    for t in (0.0, 1e-5, sine.horizon):  # within h = 1e-4 of an end
+        with pytest.raises(ValueError, match=f"need h <= t <= horizon - h for central differences, got t={t}"):
+            pde_residual_fd(sine, t, np.zeros((1, 2)))
+    for x in (np.zeros(2), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"x must have shape (L, 2), got {x.shape}")):
+            pde_residual_fd(sine, 0.5, x)
 
 
 def test_sine_terminal_matches_exact_at_horizon():

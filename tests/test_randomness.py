@@ -11,7 +11,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
-from mlpicard import _bits, randomness, selfcheck
+from mlpicard import _bits, mlp_core, randomness, selfcheck
 from mlpicard._bits import uniforms_from_states
 from mlpicard.randomness import (
     _extend_state,
@@ -213,44 +213,31 @@ def test_compiled_and_numpy_pipelines_agree():
     assert np.array_equal(_standard_normals(h0, h1, 5, np.ones(1)), ndtri(uniforms_from_states(h0, h1, 5)))
 
 
-def _entry_cases(rng):
-    """(entry, arguments) pairs for the kernel's path and state entries, each valid as given."""
-    # paths with one and with B rows of scales; the kernel works in chunks of
-    # 512 values, so 511 / 513 / 1026 values straddle a chunk boundary
-    for lanes, B, Q, d in ((0, 1, 2, 2), (3, 1, 3, 3), (511, 1, 1, 1), (171, 1, 3, 1), (513, 3, 1, 1),
-                           (2, 2, 1, 513), (64, 16, 4, 10), (9, 9, 3, 2), (1000, 10, 7, 3)):
-        h0, h1 = _random_states(rng, (lanes,))
-        for b in (1, B):
-            scales = rng.uniform(0.1, 2.0, size=(b, Q))
-            yield "brownian_paths", (h0, h1, scales, np.full(lanes * Q * d, np.nan), b, Q, d)
-    # states: the labels between the A and C axes, at the int64 extremes
-    extremes = np.array([-(2**63), -(2**63) + 1, -7, -1, 0, 1, 2**63 - 1], dtype=np.int64)
-    for A, C in ((1, 5), (5, 1), (3, 4), (0, 3), (2, 0)):
-        h0, h1 = _random_states(rng, (A * C,))
-        for chain in (extremes[:0], extremes[4:5], np.array([2**63 - 1, -(2**63), -1], dtype=np.int64)):
-            for labels in (extremes, extremes[3:4], extremes[:0]):
-                yield "extend_states", (h0, h1, chain, labels, np.zeros(2 * A * labels.size * C, np.uint64), A, C)
+# the kernel entries the estimator calls: the names of their numpy stand-ins
+_ENTRIES = (*vars(randomness._NUMPY), *vars(mlp_core._NUMPY))
 
 
-def test_kernel_entries_match_numpy_references():
-    # each entry of randomness and its numpy reference take the same arguments; run on copies of them,
-    # both leave the same bytes in every array, outputs and inputs alike (the node entries of mlp_core
-    # are compared the same way in test_mlp_core)
+@pytest.mark.parametrize("name", _ENTRIES)
+def test_kernel_entry_matches_numpy_reference(name):
+    # selfcheck's bit-kernel cases of the entry: on copies of each case's arguments, the kernel and the
+    # numpy stand-in leave the same bytes in every array, outputs and inputs alike
     _require_kernel()
-    references = {
-        "brownian_paths": randomness._paths_numpy,
-        "extend_states": randomness._extend_numpy,
-    }
-    seen = set()
-    for name, args in _entry_cases(np.random.default_rng(17)):
-        runs = []
-        for entry in (getattr(_bits._KERNEL, name), references[name]):
-            copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-            entry(*copies)
-            runs.append([a.tobytes() for a in copies if isinstance(a, np.ndarray)])
-        assert runs[0] == runs[1], (name, [a for a in args if isinstance(a, int)])
-        seen.add(name)
-    assert seen == set(references)
+    for entry, args in selfcheck._kernel_cases(np.random.default_rng(41)):
+        if entry == name:
+            assert selfcheck._matches_reference(name, args), [a for a in args if isinstance(a, int)]
+
+
+def test_kernel_cases_reach_the_layouts_estimates_use():
+    # every entry has cases, among them A = 1 block over C > 1 states (sibling keys), one row of scales
+    # over several lanes, a lane longer than the 512-value chunk, and a zero f of either sign
+    cases = list(selfcheck._kernel_cases(np.random.default_rng(41)))
+    assert {name for name, _ in cases} == set(_ENTRIES)
+    assert any(args[5] == 1 and args[6] > 1 for name, args in cases if name == "extend_states")
+    paths = [(args[0].size, *args[4:]) for name, args in cases if name == "brownian_paths"]
+    assert any(B == 1 and lanes > 1 for lanes, B, Q, d in paths) and any(Q * d > 512 for _, _, Q, d in paths)
+    for entry in ("node_sums", "node_terms"):
+        signs = [np.signbit(args[0]) for name, args in cases if name == entry and not args[0].any()]
+        assert any(sign.all() for sign in signs) and any(not sign.any() for sign in signs), entry
 
 
 def test_default_build_matches_dispatched_clone(tmp_path):
@@ -301,19 +288,16 @@ def test_word_to_double_map_stays_below_one():
 
 def test_compiled_ndtri_matches_scipy_on_every_branch():
     _require_kernel()
-    e2, e32 = np.exp(-2.0), np.exp(-32.0)
-    edges = [0.0, 1.0, 0.5, 2.0**-54, 5e-324, 1e-300, 1e-20, e32, 1.0 - 2.0**-53, 1.0 - 2.0**-52]
-    for edge in (e2, 1.0 - e2, e32):
-        edges += [np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]
+    e2 = np.exp(-2.0)
     rng = np.random.default_rng(3)
     u = np.concatenate([
-        edges,
+        selfcheck._NDTRI_EDGES,  # the branch edges the bit-kernel check also runs
         rng.uniform(e2, 1.0 - e2, 10_000),  # central rational
         np.exp(-rng.uniform(2.0, 32.0, 10_000)),  # tail, x < 8
         1.0 - np.exp(-rng.uniform(2.0, 36.0, 10_000)),  # upper tail
         np.exp(-rng.uniform(32.0, 740.0, 10_000)),  # far tail, u < exp(-32)
     ])
-    assert np.array_equal(_kernel_map("ndtri_array", u), ndtri(u))
+    assert _kernel_map("ndtri_array", u).tobytes() == ndtri(u).tobytes()
 
 
 def _broadcast_chain(h0, h1, labels):
@@ -417,6 +401,8 @@ def test_kernel_entries_guard_their_buffers():
         "shifted_points": ([f64[:6], f64, np.empty(24)], [2, 3, 4, 2, 1, 2], 2),
         "node_terms": ([f64[:12], f64, f64[:4], f64[4:8], f64[:1], np.zeros(9)], [2, 3, 2, 4, 2, 1, 0], 5),
     }
+    # the entries the estimator calls and the two test entries: an entry added later gets these cases too
+    assert set(valid) == {*_ENTRIES, "units_from_words", "ndtri_array"}
     for name, (arrays, sizes, at) in valid.items():
         getattr(k, name)(*arrays, *sizes)
         buffers = [i for i, a in enumerate(arrays) if isinstance(a, np.ndarray)]
