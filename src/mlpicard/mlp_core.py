@@ -31,11 +31,12 @@ All user functions are evaluated on batches: ``g(x)`` maps (L, d) to
 (L,), ``f(t, x, w, z)`` maps a time ``t`` -- a float, or an (L,) array
 when lanes at different Gauss-Legendre nodes share one call -- plus
 (L, d), (L,), (L, d) to (L,), and ``exact(t, x)`` maps a scalar time
-plus (L, d) to (L, d+1).  An f or g output of any other shape raises
-``ConfigError``, and so does a write into any array f, g or exact
-receive: all are read-only (at a level-0 child, w and z are zero views),
-so the caller's x is never written.  An overflow shows as the
-``EvaluationError`` of a non-finite estimate, not as numpy warnings.
+plus (L, d) to (L, d+1).  An output of any other shape, or of values
+that are not real numbers, raises ``ConfigError``, and so does a write
+into any array f, g or exact receive: all are read-only (at a level-0
+child, w and z are zero views), so the caller's x is never written.  An
+overflow shows as the ``EvaluationError`` of a non-finite estimate, not
+as numpy warnings.
 
 Cost accounting: counters tally every scalar Gaussian draw and every
 f/g evaluation at sampled points.  The one terminal value g(x) at the
@@ -94,9 +95,9 @@ class Problem:
 
     ``terminal`` maps (L, d) points to (L,) values; ``nonlinearity(t, x,
     w, z)`` maps a time ``t`` (a float or an (L,) array of per-lane
-    times) and (L, d), (L,), (L, d) arrays to (L,) values.  Their
-    arguments, and those of ``exact``, are read-only: a write raises
-    ``ConfigError``.
+    times) and (L, d), (L,), (L, d) arrays to (L,) values; ``exact`` is
+    a callable or None.  Their arguments, and those of ``exact``, are
+    read-only: a write raises ``ConfigError``.
 
     ``lip_f`` holds the d+1 Lipschitz constants of the nonlinearity in
     (w, z), ``lip_g`` the d coordinate Lipschitz constants of the
@@ -128,6 +129,9 @@ class Problem:
             if getattr(self, name) is not None:
                 _check_real(name, getattr(self, name), 0.0)
         _check_integer("dim", self.dim, 1)
+        for name, fn in (("terminal", self.terminal), ("nonlinearity", self.nonlinearity), ("exact", self.exact)):
+            if not (callable(fn) or (fn is None and name == "exact")):
+                raise ValueError(f"{name} must be callable{' or None' * (name == 'exact')}, got {fn!r}")
         lip_f = _real_array("lip_f", self.lip_f, 0.0)
         lip_g = _real_array("lip_g", self.lip_g, 0.0)
         if lip_f.shape != (self.dim + 1,):
@@ -258,6 +262,9 @@ def _evaluate(fn: Callable, name: str, shape: tuple, *args) -> np.ndarray:
         if "read-only" not in str(exc):
             raise
         raise ConfigError(f"problem.{name} wrote into its read-only arguments: {exc}") from exc
+    out = np.asarray(out)
+    if out.dtype.kind not in "biuf":  # a cast would drop a complex part, or fail on text in numpy's words
+        raise ConfigError(f"problem.{name} returned values that are not real numbers, of dtype {out.dtype}")
     out = np.asarray(out, dtype=float, order="C")
     if out.shape != shape:
         raise ConfigError(f"problem.{name} returned shape {out.shape}, expected {shape}")

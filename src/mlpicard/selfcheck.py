@@ -1,16 +1,19 @@
 """Built-in verification suite: quadrature identities and bounds, the
-cost model, the compiled sampling kernel, and the shipped problems'
+cost model's caps, the compiled sampling kernel against its numpy
+references, the estimator's contracts, and the shipped problems'
 consistency.
 
 Each check is a named, independently runnable predicate; the CLI turns
 failures into a nonzero exit status.  Checks re-derive everything from
-scratch on seeded grids, so a perturbation anywhere in the quadrature
-or cost plumbing surfaces here.
+scratch on seeded grids, so a perturbation anywhere in the quadrature,
+cost or lane plumbing surfaces here.  The tests run the case tables of
+``bit-kernel`` and ``determinism`` too.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ from .analysis import (
     iterated_gl_upper_bound,
     norm_log_subadditivity_check,
 )
-from .mlp_core import CostCounters, Problem, mlp_estimate
+from .mlp_core import CostCounters, Problem, discrete_fk_residual, mc_l2_error, mlp_estimate
 from .problems import build_problem, pde_residual_fd
 
 __all__ = ["CheckResult", "available_checks", "lipschitz_margins", "run_selfcheck"]
@@ -162,26 +165,13 @@ def _check_log_subadditivity() -> tuple[bool, str]:
 
 
 def _check_cost_model() -> tuple[bool, str]:
-    for d in (1, 2):
-        problem = build_problem("manufactured_sine", dim=d)
-        for n in range(0, 3):
-            for M in (1, 2, 3):
-                for Q in (1, 2):
-                    counters = CostCounters()
-                    mlp_estimate(problem, n, M, Q, key=(n, M, Q), seed=3, s=0.25, x=np.zeros(d), counters=counters)
-                    rn, fe = cost_rn_exact(n, M, Q, d), cost_fe_exact(n, M, Q)
-                    if counters.gaussians_drawn != rn or counters.function_evals != fe:
-                        return False, (
-                            f"(n={n}, M={M}, Q={Q}, d={d}): counted "
-                            f"({counters.gaussians_drawn}, {counters.function_evals}), recursion ({rn}, {fe})"
-                        )
     for N in range(1, 9):
         for d in (1, 10, 100):
             if cost_rn_exact(N, N, N, d) > 8 * d * N ** (2 * N):
                 return False, f"RN({N},{N},{N}) exceeds 8 d N^(2N) at d={d}"
         if cost_fe_exact(N, N, N) > 8 * N ** (2 * N):
             return False, f"FE({N},{N},{N}) exceeds 8 N^(2N)"
-    return True, "counters equal the recursions; closed-form caps hold for N <= 8"
+    return True, "closed-form caps hold for N <= 8"
 
 
 # ndtri's branch edges: both ends, the smallest doubles and those next to 1, and, with their neighbours one
@@ -249,6 +239,91 @@ def _check_bit_kernel() -> tuple[bool, str]:
                   f"bitwise, cases per entry: {cases}; ndtri on {u.size:,} values")
 
 
+@contextlib.contextmanager
+def _switched(module, name: str, value):
+    """``module.name`` set to ``value`` inside the block, and restored after it even when the block raises."""
+    saved = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        yield
+    finally:
+        setattr(module, name, saved)
+
+
+_KINDS = ("point", "study", "residual")
+# variation -> (kinds of case it runs, its switch); none may change a bit of a default run.  threads-3 runs
+# studies on 3 threads, and lane-alone runs replication r of a study as the estimate keyed key + (r,)
+_VARIATIONS = {
+    "default": (_KINDS, contextlib.nullcontext),
+    "numpy": (_KINDS, lambda: _switched(_bits, "_KERNEL", None)),
+    "fold-cap-40": (_KINDS, lambda: _switched(mlp_core, "_FOLD_CAP", 40)),
+    "fold-cap-1": (_KINDS, lambda: _switched(mlp_core, "_FOLD_CAP", 1)),
+    "one-lane-chunks": (("study", "residual"), lambda: _switched(mlp_core, "_LANE_CAP", 1)),
+    "threads-3": (("study",), contextlib.nullcontext),
+    "lane-alone": (("study",), contextlib.nullcontext),
+}
+_Case = collections.namedtuple("_Case", "kind problem n M Q s x reps key")
+
+
+def _estimator_cases() -> list:
+    """The determinism check's requests: points over n <= 3, M <= 3, Q <= 4 at d = 1, 2 and single points to
+    d = 10, studies whose replications cross chunk edges, and residual checks, which run per-lane start times."""
+    sine = {d: build_problem("manufactured_sine", dim=d) for d in (1, 2, 3, 8, 10)}
+    heat = {d: build_problem("heat_quadratic", dim=d) for d in (2, 3, 10)}  # f = 0
+    x = [np.linspace(-0.4, 0.3, d) for d in range(11)]
+    return [_Case("point", sine[d], n, M, Q, 0.25 * (d - 1), x[d], 1, (n, -M, Q)) for d in (1, 2)
+            for n in range(4) for M in (1, 2, 3) for Q in (1, 2, 3, 4)] + [
+        _Case("point", sine[3], 3, 2, 3, 0.4, x[6][::2], 1, (7,)),  # x a strided view
+        _Case("point", sine[8], 2, 3, 2, 0.0, x[8], 1, ()),
+        _Case("point", sine[10], 2, 2, 3, 0.125, x[10], 1, (-(2**63),)),
+        _Case("point", heat[2], 3, 2, 2, 0.25, x[2], 1, (2,)),
+        _Case("study", sine[1], 2, 3, 2, 0.0, x[1], 7, (3,)),
+        _Case("study", sine[2], 2, 3, 2, 0.0, x[2], 3, (4,)),
+        _Case("study", sine[2], 3, 2, 3, 0.25, x[2], 5, ()),
+        _Case("study", sine[8], 2, 2, 2, 0.4, x[8], 2, (1,)),  # fewer replications than threads-3 has threads
+        _Case("study", heat[3], 2, 3, 2, 0.0, x[3], 5, (2, 9)),
+        _Case("study", heat[10], 3, 2, 3, 0.0, x[10], 4, ()),
+        _Case("residual", sine[1], 2, 3, 2, 0.25, x[1], 6, ()),
+        _Case("residual", sine[3], 2, 3, 2, 0.25, x[3], 4, (5,)),
+    ]
+
+
+def _check_determinism(variations: tuple[str, ...] = tuple(_VARIATIONS)[1:]) -> tuple[bool, str]:
+    """Every case of ``_estimator_cases`` under each of ``variations`` byte for byte against its default run, with
+    counters equal to the recursions times the lanes and the caller's x keeping its bytes and writeable flag."""
+    skipped = "numpy" if _bits._KERNEL is None else ""
+    runs = collections.Counter()
+    for kind, problem, n, M, Q, s, x, reps, key in _estimator_cases():
+        for variation in ["default"] + [v for v in variations if kind in _VARIATIONS[v][0] and v != skipped]:
+            x_before, counters = (x.tobytes(), x.flags.writeable), CostCounters()
+            with _VARIATIONS[variation][1]():
+                if kind == "point":
+                    out = mlp_estimate(problem, n, M, Q, key, 17, s, x, counters).components
+                elif kind == "residual":  # which takes no counters, so theirs stay at 0
+                    residual = discrete_fk_residual(problem, n, M, Q, s, x, reps, 17, key)
+                    out = np.concatenate([residual.residual, residual.radius])
+                elif variation == "lane-alone":
+                    out = np.stack([mlp_estimate(problem, n, M, Q, (*key, r), 17, s, x, counters).components
+                                    for r in range(reps)])
+                else:
+                    threads = 3 if variation == "threads-3" else 1
+                    out = mc_l2_error(problem, n, M, Q, s, x, reps, 17, key, threads, counters).estimates
+            lanes = 0 if kind == "residual" else reps
+            counts = (counters.gaussians_drawn, counters.function_evals)
+            recursions = (lanes * cost_rn_exact(n, M, Q, problem.dim), lanes * cost_fe_exact(n, M, Q))
+            default = (out.tobytes(), counts) if variation == "default" else default
+            broken = [what for wrong, what in (
+                (counts != recursions, f"counted (Gaussians, evaluations) {counts}, the recursions {recursions}"),
+                ((x.tobytes(), x.flags.writeable) != x_before, "the caller's x changed its bytes or writeable flag"),
+                ((out.tobytes(), counts) != default, "its outputs differ from the default run's")) if wrong]
+            if broken:
+                return False, f"{kind} {problem.name} d={problem.dim} n={n} M={M} Q={Q} under {variation}: {broken[0]}"
+            runs[variation] += 1
+    return True, ("bit-identical to the default run, counters equal to the recursions and x untouched; runs per "
+                  "variation: " + ", ".join(f"{v} {k}" for v, k in runs.items())
+                  + ("; numpy skipped, as the kernel did not load" if skipped else ""))
+
+
 def _check_problem_residuals() -> tuple[bool, str]:
     rng = np.random.default_rng(5)
     details = []
@@ -297,6 +372,7 @@ _CHECKS: Dict[str, Callable[[], tuple[bool, str]]] = {
     "log-subadditivity": _check_log_subadditivity,
     "cost-model": _check_cost_model,
     "bit-kernel": _check_bit_kernel,
+    "determinism": _check_determinism,
     "problem-residuals": _check_problem_residuals,
     "problem-lipschitz": _check_problem_lipschitz,
 }
@@ -307,7 +383,12 @@ def available_checks() -> tuple[str, ...]:
 
 
 def run_selfcheck(names: Optional[Iterable[str]] = None) -> list[CheckResult]:
-    """Run the named checks (all by default) and collect their results."""
+    """Run the named checks (all by default) and collect their results.
+
+    The ``determinism`` check switches process-wide module globals (the
+    kernel, the fold and lane caps) while it runs, restoring them after:
+    nothing else in the process should estimate meanwhile.
+    """
     if names is None:
         selected = list(_CHECKS)
     else:

@@ -5,7 +5,8 @@ Every public function of ``mlpicard.__all__`` (plus the ``Problem`` and
 time, each value of one fixed list.  The call must raise ``ValueError``
 (``ConfigError`` is one) or ``BudgetError`` -- ``cli.main`` must exit 2 or
 4 -- unless the value is on that argument's accepted list.  Callback
-arguments (f, g, the exact solution) and free-form labels are left out.
+arguments and free-form labels are left out, except the ``Problem``'s f, g
+and exact solution, which no value of the list can stand in for.
 """
 
 import math
@@ -33,12 +34,8 @@ MALFORMED = {
 SINE = mp.manufactured_sine(2)
 POINT = dict(problem=SINE, n=1, M=1, Q=1, s=0.0, x=[0.0, 0.0], seed=0, key=())
 BOUND = dict(T=1.0, t0=0.0, lip_f_l1=1.0, lip_g_l1=1.0, sup_f0=1.0, sup_u=1.0, deriv_ratio=1.0, n=2, M=2, Q=2, alpha=0.25)
-PROBLEM = dict(horizon=1.0, dim=2, lip_f=np.zeros(3), lip_g=np.zeros(2), sup_f0=None, sup_u=None, deriv_ratio=None,
-               box_radius=1.0)
-
-
-def _problem(**fields):
-    return mp.Problem(terminal=lambda x: x[:, 0], nonlinearity=lambda t, x, w, z: w, **fields)
+PROBLEM = dict(horizon=1.0, dim=2, terminal=lambda x: x[:, 0], nonlinearity=lambda t, x, w, z: w, lip_f=np.zeros(3),
+               lip_g=np.zeros(2), exact=None, sup_f0=None, sup_u=None, deriv_ratio=None, box_radius=1.0)
 
 
 # (label, callable taking keyword arguments, valid keyword arguments, {argument: accepted values}, {argument: values
@@ -77,9 +74,9 @@ CASES = [
     ("mlp_estimate", mp.mlp_estimate, dict(POINT, counters=None), {"key": {"list"}, "counters": {"None"}}, {}),
     ("norm_log_subadditivity_check", mp.norm_log_subadditivity_check, dict(x=[1.0, -2.0], y=[0.5, 0.25], p=2, ord=2),
      {"p": {"2**64"}, "ord": {"+inf", "2**64"}}, {}),
-    ("Problem fields", _problem, PROBLEM,
-     {"horizon": {"2**64"}, "box_radius": {"2**64"}, **{name: {"None", "2**64"} for name in ("sup_f0", "sup_u", "deriv_ratio")}},
-     {}),
+    ("Problem fields", mp.Problem, PROBLEM,
+     {"horizon": {"2**64"}, "box_radius": {"2**64"}, "exact": {"None"},
+      **{name: {"None", "2**64"} for name in ("sup_f0", "sup_u", "deriv_ratio")}}, {}),
     # names=None runs the whole self-check
     ("run_selfcheck", mp.run_selfcheck, dict(names=["iterated-sum-identity"]), {}, {"names": {"None"}}),
     ("sample_path", mp.sample_path, dict(seed=0, key=(), dimension=2, start=0.0, times=[1.0]),

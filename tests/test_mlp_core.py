@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -71,11 +72,9 @@ def test_constant_terminal_is_exact_for_all_parameters():
 
 
 def test_estimate_is_bitwise_deterministic():
+    # repeated runs agree bitwise (test_estimator_contracts); a different key gives a different estimate
     problem = manufactured_sine(2)
-    kwargs = dict(key=(1, 2), seed=77, s=0.125, x=np.array([0.3, -0.4]))
-    a = mlp_estimate(problem, 2, 2, 2, **kwargs)
-    b = mlp_estimate(problem, 2, 2, 2, **kwargs)
-    assert np.array_equal(a.components, b.components)
+    a = mlp_estimate(problem, 2, 2, 2, key=(1, 2), seed=77, s=0.125, x=np.array([0.3, -0.4]))
     c = mlp_estimate(problem, 2, 2, 2, key=(1, 3), seed=77, s=0.125, x=np.array([0.3, -0.4]))
     assert not np.array_equal(a.components, c.components)
 
@@ -130,21 +129,6 @@ def test_mc_l2_error_more_threads_than_replications():
     assert np.array_equal(few.estimates, one.estimates)
 
 
-def test_one_lane_chunks_keep_thread_invariance():
-    # a chunk of one replication used to sum its M^n >= 8 samples pairwise
-    # while wider chunks added them in order
-    for dim in (1, 2):
-        problem = manufactured_sine(dim)
-        x = np.linspace(-0.3, 0.2, dim)
-        one = mc_l2_error(problem, 2, 3, 2, 0.0, x, 3, seed=7, key=(4,), threads=1)
-        three = mc_l2_error(problem, 2, 3, 2, 0.0, x, 3, seed=7, key=(4,), threads=3)
-        assert np.array_equal(one.estimates, three.estimates)
-        assert one.value_error == three.value_error
-        for r in range(3):
-            est = mlp_estimate(problem, 2, 3, 2, key=(4, r), seed=7, s=0.0, x=x)
-            assert np.array_equal(est.components, one.estimates[r])
-
-
 def _outputs_under_cap(monkeypatch, cap):
     """Estimates and counters on a small grid, with the fold cap set to ``cap``."""
     monkeypatch.setattr(mlp_core, "_FOLD_CAP", cap)
@@ -176,22 +160,6 @@ def test_node_fold_cap_does_not_change_outputs(monkeypatch):
             assert ca == cb
 
 
-def test_compiled_kernel_and_numpy_fallback_give_identical_outputs(monkeypatch):
-    def outputs():
-        # a cap of 40 splits the nodes into groups smaller than Q in some calls
-        out = _outputs_under_cap(monkeypatch, mlp_core._FOLD_CAP) + _outputs_under_cap(monkeypatch, 40)
-        for dim in (1, 3):
-            residual = discrete_fk_residual(manufactured_sine(dim), 2, 3, 2, 0.25, np.full(dim, 0.2), 20, seed=4)
-            out.append((np.concatenate([residual.residual, residual.radius]), {}))
-        return out
-
-    compiled = outputs()
-    monkeypatch.setattr(_bits, "_KERNEL", None)
-    for (a, ca), (b, cb) in zip(compiled, outputs()):
-        assert np.array_equal(a, b)
-        assert ca == cb
-
-
 def test_lane_chunks_do_not_change_outputs(monkeypatch):
     # caps that force chunks of 1, 7 and 64 lanes, and the default cap, at
     # 1, 2 and 3 threads; the residual's left-hand side runs on one thread
@@ -218,6 +186,34 @@ def test_lane_chunks_do_not_change_outputs(monkeypatch):
         for estimates, counters in outputs[1:]:
             assert np.array_equal(estimates, outputs[0][0])
             assert counters == outputs[0][1]
+
+
+@pytest.mark.parametrize("variation", tuple(selfcheck._VARIATIONS)[1:])
+def test_estimator_contracts(variation):
+    # selfcheck's determinism cases under the variation: bit-identical to their default runs, counters equal
+    # to the cost recursions times the lanes, and the caller's x untouched; a failure names case and variation
+    if variation == "numpy" and _bits._KERNEL is None:
+        pytest.skip("the compiled kernel did not load")
+    ok, detail = selfcheck._check_determinism((variation,))
+    assert ok, detail
+
+
+def test_estimator_cases_reach_the_layouts_they_guard(monkeypatch):
+    # d on both sides of the d <= 7 row sums, a zero f, a study with fewer replications than threads-3 has
+    # threads, residual checks (per-lane start times), a strided x, and studies split at chunk edges by
+    # one-lane chunks
+    cases = selfcheck._estimator_cases()
+    assert {case.problem.dim for case in cases} >= {1, 2, 3, 8, 10}
+    assert any(not case.problem.nonlinearity(0.5, np.ones((3, case.problem.dim)), np.ones(3),
+                                             np.ones((3, case.problem.dim))).any() for case in cases)
+    studies = [case for case in cases if case.kind == "study"]
+    assert any(case.reps < 3 for case in studies) and any(case.kind == "residual" for case in cases)
+    assert any(not case.x.flags.c_contiguous for case in cases)
+    chunks = _record_chunks(monkeypatch)
+    monkeypatch.setattr(mlp_core, "_LANE_CAP", 1)
+    for case in studies:
+        mc_l2_error(case.problem, case.n, case.M, case.Q, case.s, case.x, case.reps, key=case.key)
+    assert len(chunks) == sum(case.reps for case in studies) > len(studies)
 
 
 def _record_chunks(monkeypatch):
@@ -403,6 +399,18 @@ def test_problem_output_shapes_are_checked():
     long_exact = dataclasses.replace(heat_quadratic(2, 1.0), exact=lambda t, x: np.zeros(5))
     with pytest.raises(ConfigError, match=r"exact returned shape \(5,\), expected \(1, 3\)"):
         mc_l2_error(long_exact, 1, 2, 2, 0.0, np.zeros(2), 4)
+
+
+def test_problem_outputs_must_be_real_numbers():
+    # a cast would drop a complex part with a ComplexWarning, and fail on text with numpy's own ValueError
+    base = manufactured_sine(2)
+    outputs = {"nonlinearity": lambda t, x, w, z: w + 1j, "terminal": lambda x: np.full(len(x), "a"),
+               "exact": lambda t, x: base.exact(t, x) + 0j}
+    for name, fn in outputs.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"^problem.{name} returned values that are not real numbers"):
+                mc_l2_error(dataclasses.replace(base, **{name: fn}), 2, 2, 2, 0.0, np.zeros(2), 4)
 
 
 @pytest.mark.parametrize("name", ["terminal", "nonlinearity", "exact"])

@@ -202,7 +202,8 @@ def test_builder_validation():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             builder(2, **{"horizon": 1.0, name: value})
     assert manufactured_sine(2, horizon=np.float32(0.5), c=1, beta=0).horizon == 0.5
-    kwargs = dict(horizon=1.0, terminal=None, nonlinearity=None, lip_f=np.zeros(3), lip_g=np.zeros(2))
+    kwargs = dict(horizon=1.0, terminal=lambda x: x[:, 0], nonlinearity=lambda t, x, w, z: w, lip_f=np.zeros(3),
+                  lip_g=np.zeros(2))
     for dim in (2.0, True, "2"):
         with pytest.raises(ValueError, match="^dim must be an integer"):
             Problem(dim=dim, **kwargs)
