@@ -79,9 +79,9 @@ _BELOW_ONE = 1.0 - 2.0**-53
 HAVE_NUMBA = False
 
 
-def _units_numpy(words: np.ndarray) -> np.ndarray:
-    """Top 53 bits of each uint64 word as a double in (0, 1)."""
-    return np.minimum(((words >> _S11).astype(np.float64) + 0.5) * _INV53, _BELOW_ONE)
+def _units_numpy(words: np.ndarray, out: np.ndarray) -> None:
+    """Reference for the kernel's ``units_from_words``: the top 53 bits of each uint64 word as a double in (0, 1)."""
+    np.minimum(((words >> _S11).astype(np.float64) + 0.5) * _INV53, _BELOW_ONE, out=out)
 
 
 def uniforms_from_states(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndarray:
@@ -119,8 +119,8 @@ def uniforms_from_states(h0: np.ndarray, h1: np.ndarray, n_vals: int) -> np.ndar
         k0 = (k0 + _WEYL_0) & _MASK32
         k1 = (k1 + _WEYL_1) & _MASK32
     out = np.empty((h0.size, 2 * n_blocks))
-    out[:, 0::2] = _units_numpy((c0 << _S32) | c1)
-    out[:, 1::2] = _units_numpy((c2 << _S32) | c3)
+    _units_numpy((c0 << _S32) | c1, out[:, 0::2])
+    _units_numpy((c2 << _S32) | c3, out[:, 1::2])
     return out[:, :n_vals].reshape(shape)
 
 

@@ -16,10 +16,11 @@ multiplied by the gradient weight (1, dW_t / (t - s)).  Every Monte
 Carlo sample owns a distinct multi-index key, so the whole tree of
 draws is reproducible and independent of scheduling.
 
-One lane planner, ``_run_replications``, runs every replication batch --
-the studies and both sides of the residual check -- in lane chunks, so
-a call holds one chunk per thread in memory; results are bitwise
-independent of chunking and thread count.
+Every entry takes one request step, ``_prepare``, and runs its lanes on
+one planner, ``_run_replications``: a point as one lane, the studies and
+both sides of the residual check in lane chunks, so a call holds one
+chunk per thread in memory; results are bitwise independent of chunking
+and thread count.
 
 ``_mlp_batch`` allocates the outputs of its array work -- the terminal
 term's sample sums, each node group's shifted points -- and passes them,
@@ -248,6 +249,15 @@ def check_request(
     return _read_only(np.ascontiguousarray(x).view())  # a view: the caller's array keeps its flags
 
 
+def _prepare(problem, n, M, Q, s, x, seed, key, replications, threads, counters) -> tuple:
+    """The request step of every entry: ``check_request``, then the read-only x, the start time as a float of +0.0
+    or above (``check_request`` lets -0.0 through), the quadrature rule and the counters, fresh ones if None."""
+    x = check_request(problem, n, M, Q, s, x, seed, key, replications, threads)
+    counters = CostCounters() if counters is None else counters
+    _check_instance("counters", counters, CostCounters)
+    return x, float(s) + 0.0, build_rule(Q), counters
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a``, flagged read-only where it is born, so that f, g or exact cannot write into it."""
     a.flags.writeable = False
@@ -438,63 +448,53 @@ def mlp_estimate(
     before any work happens.  ``counters`` accumulates the realized costs
     (fresh ones if omitted).
     """
-    x = check_request(problem, n, M, Q, s, x, seed, key)
-    s = float(s) + 0.0  # check_request lets -0.0 through; every time from here on is +0.0 or above
-    counters = CostCounters() if counters is None else counters
-    _check_instance("counters", counters, CostCounters)
+    x, s, rule, counters = _prepare(problem, n, M, Q, s, x, seed, key, None, 1, counters)
     h0, h1 = state_for_key(seed, key)
-    rule = build_rule(Q)
-    with np.errstate(all="ignore"):  # an overflow surfaces as the non-finite check's error, not as warnings
-        components = _mlp_batch(problem, n, M, Q, rule, h0, h1, s, x[None, :], counters)[0]
-    if not np.all(np.isfinite(components)):
-        raise EvaluationError("estimator produced non-finite components")
-    return Estimate(components=components)
+    components = _run_replications(
+        lambda lo, hi, c: _mlp_batch(problem, n, M, Q, rule, h0, h1, s, x[None, :], c),
+        1, M**n * Q * problem.dim, 1, counters,
+    )
+    return Estimate(components=components[0])
 
 
-def _replication_batch(
-    problem: Problem,
-    n: int,
-    M: int,
-    Q: int,
-    rule: GaussLegendreRule,
-    seed: int,
-    key: Sequence[int],
-    rep_lo: int,
-    rep_hi: int,
-    s: float,
-    x: np.ndarray,
-    counters: CostCounters,
-) -> np.ndarray:
+def _replication_batch(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, counters) -> np.ndarray:
     """Estimates for replications rep_lo..rep_hi-1, keys ``key + (r,)``."""
     rh0, rh1 = _lane_states(seed, key, rep_lo, rep_hi)
     xs = _read_only(np.repeat(x[None, :], rep_hi - rep_lo, axis=0))
     return _mlp_batch(problem, n, M, Q, rule, rh0, rh1, s, xs, counters)
 
 
-def _run_replications(work, replications: int, block: int, threads: int, counters: CostCounters) -> np.ndarray:
+def _run_replications(work, replications, block, threads, counters, failure="estimator produced non-finite components"):
     """``work(lo, hi, chunk_counters)``, the results of lanes lo..hi-1, over chunks of 0..replications, concatenated.
 
     At least min(threads, replications) chunks of at most
     max(1, _LANE_CAP // block) lanes, for ``block`` Gaussians per lane, run
-    on ``threads`` threads; a lane's result does not depend on its chunk,
-    so neither chunking nor thread count changes any bit.
+    on ``threads`` threads (one on the caller); a lane's result does not
+    depend on its chunk, so neither chunking nor thread count changes any
+    bit.  Counts go to ``counters``.  Chunks run with numpy's warnings
+    off: an overflow shows only as the ``EvaluationError(failure)`` that
+    any non-finite result raises.
     """
     per_chunk = max(1, _LANE_CAP // block)
     chunks = max(min(threads, replications), -(-replications // per_chunk))
-    bounds = np.linspace(0, replications, chunks + 1).astype(int).tolist()
-    chunk_counters = [CostCounters() for _ in bounds[1:]]
+    bounds = [i * replications // chunks for i in range(chunks + 1)]
+    chunk_counters = [CostCounters() for _ in range(chunks)]
 
     def run(lo, hi, c):
-        with np.errstate(all="ignore"):  # as in mlp_estimate; pool threads do not inherit the caller's setting
+        with np.errstate(all="ignore"):  # per chunk: pool threads do not inherit the caller's setting
             return work(lo, hi, c)
 
-    # one thread runs the chunks on the caller: on a pool worker, whose own
-    # malloc arena this adds, the sine d=2 study's peak RSS rose 1-3 MB (2-4%)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list((pool.map if threads > 1 else map)(run, bounds[:-1], bounds[1:], chunk_counters))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, bounds[:-1], bounds[1:], chunk_counters))
+    else:  # no pool: on a worker, whose own malloc arena this adds, the sine d=2 study's peak RSS rose 1-3 MB (2-4%)
+        parts = list(map(run, bounds[:-1], bounds[1:], chunk_counters))
     for c in chunk_counters:
         counters.add(c)
-    return np.concatenate(parts, axis=0)
+    out = np.concatenate(parts, axis=0) if chunks > 1 else parts[0]
+    if not np.isfinite(out).all():  # the method: the dispatch of np.all costs a point request 2-4 us
+        raise EvaluationError(failure)
+    return out
 
 
 def _jackknife_se(stat_loo: np.ndarray) -> np.ndarray:
@@ -528,19 +528,13 @@ def mc_l2_error(
     before any work happens.
     """
     _check_integer("replications", replications, 2)  # check_request reads None as a single estimate
-    x = check_request(problem, n, M, Q, s, x, seed, key, replications, threads)
-    s = float(s) + 0.0  # as in mlp_estimate
+    x, s, rule, counters = _prepare(problem, n, M, Q, s, x, seed, key, replications, threads, counters)
     if problem.exact is None:
         raise ValueError("mc_l2_error requires a problem with an exact solution")
-    counters = CostCounters() if counters is None else counters
-    _check_instance("counters", counters, CostCounters)
-    rule = build_rule(Q)
     estimates = _run_replications(
         lambda lo, hi, c: _replication_batch(problem, n, M, Q, rule, seed, key, lo, hi, s, x, c),
         replications, M**n * Q * problem.dim, threads, counters,
     )
-    if not np.all(np.isfinite(estimates)):
-        raise EvaluationError("estimator produced non-finite components")
 
     exact = _evaluate(problem.exact, "exact", (1, problem.dim + 1), s, x[None, :])[0]
     sq = (estimates - exact[None, :]) ** 2  # (R, d+1)
@@ -588,6 +582,7 @@ def _residual_rhs(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, count
     ranks = np.arange(1, Q + 1, dtype=np.int64)
     inner = _child_estimates(problem, n - 1, M, Q, rule, ih0, ih1, ranks, t, y, counters)  # keys (key, 2, r, rank)
     fv = _evaluate(problem.nonlinearity, "nonlinearity", (R * Q,), t, y, inner[:, 0], inner[:, 1:]).reshape(R, Q)
+    counters.add(CostCounters(R * (Q + 1) * d, f_evals=R * Q, g_evals=R))  # the path, f at the nodes, g at T
     for k in range(Q):
         w_k = float(rule.weights[k]) * span
         rhs[:, 0] += w_k * fv[:, k]
@@ -605,6 +600,7 @@ def discrete_fk_residual(
     replications: int,
     seed: int = 0,
     key: Sequence[int] = (),
+    counters: Optional[CostCounters] = None,
 ) -> FkResidual:
     """Monte Carlo check of the expectation recursion satisfied by the scheme.
 
@@ -614,29 +610,29 @@ def discrete_fk_residual(
     Both sides are estimated with ``replications`` fresh-key samples;
     the returned radius is four combined standard errors per component,
     so ``within_radius`` is a statistical acceptance of unbiasedness.
+    ``counters`` accumulates both sides' realized costs (fresh ones if
+    omitted): R (RN(n) + (Q+1) d + Q RN(n-1)) Gaussians and
+    R (FE(n) + 1 + Q + Q FE(n-1)) evaluations, for RN and FE the cost
+    recursions ``cost_rn_exact`` and ``cost_fe_exact``.
 
     Restricted to small instances (d <= 3, n <= 2, M <= 3, Q <= 3).
     """
     _check_integer("replications", replications, 2)  # check_request reads None as a single estimate
-    x = check_request(problem, n, M, Q, s, x, seed, key, replications)
+    x, s, rule, counters = _prepare(problem, n, M, Q, s, x, seed, key, replications, 1, counters)
     for name, value, high in (("n", n, 2), ("M", M, 3), ("Q", Q, 3), ("problem.dim", problem.dim, 3)):
         _check_integer(f"residual check {name}", value, 1, high)
-    d, R, s = problem.dim, replications, float(s) + 0.0  # as in mlp_estimate
-    rule = build_rule(Q)
-    counters = CostCounters()
+    d, R = problem.dim, replications
+    failure = "residual estimation produced non-finite values"
 
     lhs = _run_replications(
         lambda lo, hi, c: _replication_batch(problem, n, M, Q, rule, seed, (*key, 0), lo, hi, s, x, c),
-        R, M**n * Q * d, 1, counters,
+        R, M**n * Q * d, 1, counters, failure,
     )
     # each right-hand lane makes a level-(n-1) call over Q lanes, a block of Q M^(n-1) Q d Gaussians
     rhs = _run_replications(
         lambda lo, hi, c: _residual_rhs(problem, n, M, Q, rule, seed, key, lo, hi, s, x, c),
-        R, Q * M ** (n - 1) * Q * d, 1, counters,
+        R, Q * M ** (n - 1) * Q * d, 1, counters, failure,
     )
-
-    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
-        raise EvaluationError("residual estimation produced non-finite values")
     residual = lhs.mean(axis=0) - rhs.mean(axis=0)
     se = np.sqrt(lhs.var(axis=0, ddof=1) / R + rhs.var(axis=0, ddof=1) / R)
     return FkResidual(residual=residual, radius=4.0 * se, replications=R)

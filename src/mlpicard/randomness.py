@@ -130,7 +130,9 @@ def _paths_numpy(h0, h1, scales, out: np.ndarray, B: int, Q: int, d: int) -> Non
     np.cumsum(z * np.reshape(scales, (B, Q, 1)), axis=2, out=out.reshape(z.shape))
 
 
-_NUMPY = types.SimpleNamespace(brownian_paths=_paths_numpy, extend_states=_extend_numpy)
+# ndtri_array and units_from_words, stages of brownian_paths no estimate calls alone: scipy's ndtri, the word map
+_NUMPY = types.SimpleNamespace(brownian_paths=_paths_numpy, extend_states=_extend_numpy, ndtri_array=ndtri,
+                               units_from_words=_bits._units_numpy)
 
 
 def _standard_normals(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray) -> np.ndarray:

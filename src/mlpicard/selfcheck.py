@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _bits, mlp_core, quadrature, randomness
 from .analysis import (
@@ -206,6 +205,16 @@ def _kernel_cases(rng: np.random.Generator):
             times = ((w[0], 0.4 + lag[0], np.full(1, 0.4)), (w, s[:, None] + lag, s))  # shared, per lane
             for start, lane in itertools.product((rng.normal(size=(B, d + 1)), np.full((B, d + 1), -0.0)), (0, 1)):
                 yield "node_terms", (f, dw, *times[lane], start, m, B, g, Q, d, k0, lane)
+    e2 = np.exp(-2.0)
+    for u in (_NDTRI_EDGES, np.exp(-np.linspace(0.0, 700.0, 2001)), 1.0 - np.exp(-np.linspace(0.0, 36.0, 2001)),
+              rng.uniform(e2, 1.0 - e2, 10_000),  # the central rational
+              np.exp(-rng.uniform(2.0, 32.0, 10_000)), 1.0 - np.exp(-rng.uniform(2.0, 36.0, 10_000)),  # the tails
+              np.exp(-rng.uniform(32.0, 740.0, 10_000))):  # the far tail, below exp(-32)
+        yield "ndtri_array", (u, np.full(u.size, np.nan))
+    # the extremes, and the words either side of the one that would round to 1.0
+    for words in (np.array([0, 1, 2**63, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64),
+                  rng.integers(0, 2**64, size=1000, dtype=np.uint64)):
+        yield "units_from_words", (words, np.full(words.size, np.nan))
 
 
 def _matches_reference(name: str, args: tuple) -> bool:
@@ -219,7 +228,7 @@ def _matches_reference(name: str, args: tuple) -> bool:
 
 
 def _check_bit_kernel() -> tuple[bool, str]:
-    """Every case of ``_kernel_cases`` and an ndtri sweep against the numpy/scipy reference, bitwise."""
+    """Every case of ``_kernel_cases`` against the numpy/scipy reference, bitwise."""
     if _bits._KERNEL is None:
         return True, f"numpy fallback runs ({_bits._FALLBACK_REASON or 'kernel switched off'}); nothing to compare"
     counts = collections.Counter()
@@ -227,40 +236,22 @@ def _check_bit_kernel() -> tuple[bool, str]:
         if not _matches_reference(name, args):
             return False, f"{name} differs from its reference at sizes {[a for a in args if isinstance(a, int)]}"
         counts[name] += 1
-    # the branch edges, then sweeps of the lower tail to exp(-700) and of the upper one
-    u = np.concatenate([_NDTRI_EDGES, np.exp(-np.linspace(0.0, 700.0, 2001)),
-                        1.0 - np.exp(-np.linspace(0.0, 36.0, 2001))])
-    z = np.empty_like(u)
-    _bits._KERNEL.ndtri_array(u, z)
-    if z.tobytes() != ndtri(u).tobytes():
-        return False, "ndtri differs from scipy.special.ndtri"
     cases = ", ".join(f"{name} {count}" for name, count in counts.items())
     return True, (f"compiled kernel runs ({_bits._KERNEL.kernel_isa()} clone); equal to the numpy/scipy reference "
-                  f"bitwise, cases per entry: {cases}; ndtri on {u.size:,} values")
-
-
-@contextlib.contextmanager
-def _switched(module, name: str, value):
-    """``module.name`` set to ``value`` inside the block, and restored after it even when the block raises."""
-    saved = getattr(module, name)
-    setattr(module, name, value)
-    try:
-        yield
-    finally:
-        setattr(module, name, saved)
+                  f"bitwise, cases per entry: {cases}")
 
 
 _KINDS = ("point", "study", "residual")
-# variation -> (kinds of case it runs, its switch); none may change a bit of a default run.  threads-3 runs
-# studies on 3 threads, and lane-alone runs replication r of a study as the estimate keyed key + (r,)
+# variation -> (kinds of case it runs, the (module, global, value) it patches or None); none may change a bit of a
+# default run.  threads-3 runs studies on 3 threads, and lane-alone runs replication r of a study as key + (r,)
 _VARIATIONS = {
-    "default": (_KINDS, contextlib.nullcontext),
-    "numpy": (_KINDS, lambda: _switched(_bits, "_KERNEL", None)),
-    "fold-cap-40": (_KINDS, lambda: _switched(mlp_core, "_FOLD_CAP", 40)),
-    "fold-cap-1": (_KINDS, lambda: _switched(mlp_core, "_FOLD_CAP", 1)),
-    "one-lane-chunks": (("study", "residual"), lambda: _switched(mlp_core, "_LANE_CAP", 1)),
-    "threads-3": (("study",), contextlib.nullcontext),
-    "lane-alone": (("study",), contextlib.nullcontext),
+    "default": (_KINDS, None),
+    "numpy": (_KINDS, (_bits, "_KERNEL", None)),
+    "fold-cap-40": (_KINDS, (mlp_core, "_FOLD_CAP", 40)),
+    "fold-cap-1": (_KINDS, (mlp_core, "_FOLD_CAP", 1)),
+    "one-lane-chunks": (("study", "residual"), (mlp_core, "_LANE_CAP", 1)),
+    "threads-3": (("study",), None),
+    "lane-alone": (("study",), None),
 }
 _Case = collections.namedtuple("_Case", "kind problem n M Q s x reps key")
 
@@ -291,16 +282,19 @@ def _estimator_cases() -> list:
 def _check_determinism(variations: tuple[str, ...] = tuple(_VARIATIONS)[1:]) -> tuple[bool, str]:
     """Every case of ``_estimator_cases`` under each of ``variations`` byte for byte against its default run, with
     counters equal to the recursions times the lanes and the caller's x keeping its bytes and writeable flag."""
+    from unittest import mock  # not at the top: on top of ``import mlpicard`` it costs 20-45 ms (-X importtime)
+
     skipped = "numpy" if _bits._KERNEL is None else ""
-    runs = collections.Counter()
+    runs, kinds = collections.Counter(), collections.Counter()
     for kind, problem, n, M, Q, s, x, reps, key in _estimator_cases():
         for variation in ["default"] + [v for v in variations if kind in _VARIATIONS[v][0] and v != skipped]:
             x_before, counters = (x.tobytes(), x.flags.writeable), CostCounters()
-            with _VARIATIONS[variation][1]():
+            switch = _VARIATIONS[variation][1]
+            with mock.patch.object(*switch) if switch else contextlib.nullcontext():
                 if kind == "point":
                     out = mlp_estimate(problem, n, M, Q, key, 17, s, x, counters).components
-                elif kind == "residual":  # which takes no counters, so theirs stay at 0
-                    residual = discrete_fk_residual(problem, n, M, Q, s, x, reps, 17, key)
+                elif kind == "residual":
+                    residual = discrete_fk_residual(problem, n, M, Q, s, x, reps, 17, key, counters)
                     out = np.concatenate([residual.residual, residual.radius])
                 elif variation == "lane-alone":
                     out = np.stack([mlp_estimate(problem, n, M, Q, (*key, r), 17, s, x, counters).components
@@ -308,9 +302,12 @@ def _check_determinism(variations: tuple[str, ...] = tuple(_VARIATIONS)[1:]) -> 
                 else:
                     threads = 3 if variation == "threads-3" else 1
                     out = mc_l2_error(problem, n, M, Q, s, x, reps, 17, key, threads, counters).estimates
-            lanes = 0 if kind == "residual" else reps
-            counts = (counters.gaussians_drawn, counters.function_evals)
-            recursions = (lanes * cost_rn_exact(n, M, Q, problem.dim), lanes * cost_fe_exact(n, M, Q))
+            d, counts = problem.dim, (counters.gaussians_drawn, counters.function_evals)
+            rn, fe = cost_rn_exact(n, M, Q, d), cost_fe_exact(n, M, Q)
+            if kind == "residual":  # its right-hand side: (Q+1) d path Gaussians, g, Q f and Q level-(n-1) estimates
+                rn += (Q + 1) * d + Q * cost_rn_exact(n - 1, M, Q, d)
+                fe += 1 + Q + Q * cost_fe_exact(n - 1, M, Q)
+            recursions = (reps * rn, reps * fe)
             default = (out.tobytes(), counts) if variation == "default" else default
             broken = [what for wrong, what in (
                 (counts != recursions, f"counted (Gaussians, evaluations) {counts}, the recursions {recursions}"),
@@ -319,8 +316,10 @@ def _check_determinism(variations: tuple[str, ...] = tuple(_VARIATIONS)[1:]) -> 
             if broken:
                 return False, f"{kind} {problem.name} d={problem.dim} n={n} M={M} Q={Q} under {variation}: {broken[0]}"
             runs[variation] += 1
+            kinds[kind] += 1
     return True, ("bit-identical to the default run, counters equal to the recursions and x untouched; runs per "
                   "variation: " + ", ".join(f"{v} {k}" for v, k in runs.items())
+                  + "; per kind: " + ", ".join(f"{v} {k}" for v, k in kinds.items())
                   + ("; numpy skipped, as the kernel did not load" if skipped else ""))
 
 

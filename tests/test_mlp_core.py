@@ -112,6 +112,19 @@ def test_counters_scale_with_replications():
     assert counters.function_evals == reps * cost_fe_exact(2, 2, 2)
 
 
+@pytest.mark.parametrize("d, n, M, Q, R", [(1, 1, 1, 1, 3), (2, 2, 3, 2, 5), (3, 2, 2, 3, 4), (1, 2, 3, 3, 7)])
+def test_residual_counters_match_the_recursions(d, n, M, Q, R):
+    # per replication: a level-n estimate; the right-hand side's (Q+1) d path Gaussians, one g and Q f
+    # evaluations, and Q level-(n-1) estimates
+    counters = CostCounters()
+    discrete_fk_residual(manufactured_sine(d), n, M, Q, 0.1, np.full(d, 0.2), R, seed=3, counters=counters)
+    gaussians = R * (cost_rn_exact(n, M, Q, d) + (Q + 1) * d + Q * cost_rn_exact(n - 1, M, Q, d))
+    evals = R * (cost_fe_exact(n, M, Q) + 1 + Q + Q * cost_fe_exact(n - 1, M, Q))
+    assert (counters.gaussians_drawn, counters.function_evals) == (gaussians, evals)
+    if (d, n, M, Q) == (1, 1, 1, 1):  # by hand: 2 Gaussians, one g and one f on each side of each replication
+        assert (counters.gaussians_drawn, counters.g_evals, counters.f_evals) == (12, 6, 6)
+
+
 def test_mc_l2_error_thread_count_invariance():
     problem = manufactured_sine(2)
     x = np.array([0.2, -0.1])
@@ -273,6 +286,20 @@ def test_lane_planner_chunks(monkeypatch):
                 _assert_plan(chunks, reps, M**n * Q * dim, 1)
                 _assert_plan(rhs_chunks, reps, Q * M ** (n - 1) * Q * dim, 1)
     assert len(rhs_chunks) > 1
+
+
+def test_one_thread_builds_no_executor(monkeypatch):
+    # a point estimate, a one-thread study and a residual check run their lanes on the caller
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a ThreadPoolExecutor")
+
+    monkeypatch.setattr(mlp_core, "ThreadPoolExecutor", refuse)
+    problem = manufactured_sine(2)
+    mlp_estimate(problem, 2, 2, 2, x=np.zeros(2))
+    mc_l2_error(problem, 2, 2, 2, 0.0, np.zeros(2), 5, threads=1)
+    discrete_fk_residual(problem, 1, 2, 2, 0.0, np.zeros(2), 4)
+    with pytest.raises(AssertionError, match="ThreadPoolExecutor"):  # two threads do build one
+        mc_l2_error(problem, 2, 2, 2, 0.0, np.zeros(2), 5, threads=2)
 
 
 def _added_mb(call: str, cap: int) -> float:
@@ -592,6 +619,14 @@ def test_non_finite_terminal_raises():
         mlp_estimate(problem, 1, 2, 2, x=np.zeros(1))
     with pytest.raises(EvaluationError, match="residual"):  # heat's g overflows at x = 1e200
         discrete_fk_residual(heat_quadratic(1), 1, 1, 1, 0.0, np.array([1e200]), 2)
+
+
+def test_overflowing_point_raises_one_error_and_no_warning():
+    # |x|^2 overflows heat's g to inf: the estimate's non-finite check speaks, numpy's warnings do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="^estimator produced non-finite components$"):
+            mlp_estimate(heat_quadratic(2), 2, 2, 2, x=np.full(2, 1e200))
 
 
 def test_lipschitz_smoke_under_point_perturbation():

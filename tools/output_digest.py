@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -66,18 +67,16 @@ def output_digest() -> str:
     for name, dim in PROBLEMS:
         config = cli.ExperimentConfig(problem=name, dim=dim, x="random-in-box", seed=9)
         _feed(digest, cli._resolve_x(config, build_problem(name, dim=dim)))
-    default_cap = mlp_core._FOLD_CAP
     for name, dim in PROBLEMS:
         problem = build_problem(name, dim=dim)
         x = np.linspace(-0.3, 0.2, dim)
         for s in (0.0, 0.4):
-            for cap in (default_cap, 40):
-                mlp_core._FOLD_CAP = cap
-                for n, M, Q in LEVELS:
-                    counters = CostCounters()
-                    est = mlp_estimate(problem, n, M, Q, key=(n, -M), seed=11, s=s, x=x, counters=counters)
-                    _feed(digest, est.components, _counts(counters))
-            mlp_core._FOLD_CAP = default_cap
+            for cap in (mlp_core._FOLD_CAP, 40):
+                with mock.patch.object(mlp_core, "_FOLD_CAP", cap):  # restored even if an estimate raises
+                    for n, M, Q in LEVELS:
+                        counters = CostCounters()
+                        est = mlp_estimate(problem, n, M, Q, key=(n, -M), seed=11, s=s, x=x, counters=counters)
+                        _feed(digest, est.components, _counts(counters))
             if dim == 2:
                 counters = CostCounters()
                 _feed(digest, mlp_estimate(problem, 4, 4, 4, seed=5, s=s, x=x, counters=counters).components)
