@@ -18,6 +18,8 @@ kernel of :mod:`mlpicard._bits` (``brownian_paths`` fuses bits, inverse
 CDF, scaling and sum, and ``extend_states`` runs the whole absorb chain)
 or, when the kernel did not load, to ``_NUMPY``: the numpy and scipy
 references below, under the entry names, with the same arguments and bits.
+Only these references call scipy (``ndtri``), which loads on first use,
+so a process whose estimates run on the kernel never imports it.
 
 Within one path the draw for (time rank j, coordinate c) sits at stream
 position j * d + c.  Querying the same key with a prefix of a time list
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _bits
 from ._bits import uniforms_from_states
@@ -122,6 +123,13 @@ def _key(name: str, labels: Sequence[int]) -> MultiIndex:
 def derive_key(parent: Sequence[int], extension: Sequence[int]) -> MultiIndex:
     """Child key: the parent's labels followed by the extension's labels."""
     return _key("parent", parent) + _key("extension", extension)
+
+
+def ndtri(u, *out):
+    """scipy's inverse normal CDF, imported on first use: only the numpy references call it."""
+    from scipy.special import ndtri as scipy_ndtri
+
+    return scipy_ndtri(u, *out)
 
 
 def _paths_numpy(h0, h1, scales, out: np.ndarray, B: int, Q: int, d: int) -> None:

@@ -322,10 +322,14 @@ def _added_mb(call: str, cap: int) -> float:
     # as a child of this test process
     launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
     cmd = [sys.executable, "-c", launcher, sys.executable, "-c", script, str(cap)]
-    # the package this test imported, also when only pytest's path holds it
+    return float(subprocess.run(cmd, capture_output=True, text=True, check=True, env=_child_env()).stdout)
+
+
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports the package this test imported,
+    also when only pytest's path holds it."""
     src = os.path.dirname(os.path.dirname(mlp_core.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return float(subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_study_memory_is_bounded_by_one_chunk():
@@ -342,6 +346,41 @@ def test_residual_memory_is_bounded_by_one_chunk():
     call = "mlp_core.discrete_fk_residual(manufactured_sine(3), 2, 3, 3, 0.1, np.full(3, 0.2), 40_000, seed=9)"
     assert _added_mb(call, 10**12) >= 100.0
     assert _added_mb(call, mlp_core._LANE_CAP) <= 25.0
+
+
+def test_kernel_path_never_imports_scipy(tmp_path):
+    # pytest's own process has loaded scipy already, so a fresh interpreter runs every entry
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import mlpicard
+        from mlpicard import _bits, cli
+        from mlpicard.problems import manufactured_sine
+
+        if _bits._KERNEL is None:
+            print(_bits._FALLBACK_REASON)
+            sys.exit(10)
+        problem = manufactured_sine(2)
+        study = lambda: mlpicard.mc_l2_error(problem, 2, 2, 2, 0.0, np.zeros(2), 6, seed=5, threads=2)
+        mlpicard.mlp_estimate(problem, 3, 3, 3, x=np.zeros(2))
+        kernel = study()
+        mlpicard.discrete_fk_residual(problem, 1, 2, 2, 0.0, np.zeros(2), 50, seed=3)
+        argv = ["converge", "--dim", "2", "--x", "random-in-box", "--diagonal", "2", "--reps", "4", "--out"]
+        assert cli.main(argv + [sys.argv[1]]) == 0
+        assert "scipy.special" not in sys.modules
+        # the numpy references' first draw imports scipy, on a pool thread
+        _bits._KERNEL = None
+        reference = study()
+        assert "scipy.special" in sys.modules
+        assert reference.estimates.tobytes() == kernel.estimates.tobytes()
+        """
+    )
+    cmd = [sys.executable, "-c", script, str(tmp_path / "study.csv")]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=_child_env())
+    if done.returncode == 10:
+        pytest.skip(f"numpy fallback runs: {done.stdout.strip()}")
+    assert done.returncode == 0, done.stderr
 
 
 def test_shifted_points_match_numpy():
