@@ -11,7 +11,6 @@ from .analysis import (
     BoundInputs,
     binomial,
     bound_nmq,
-    bound_nnn,
     constant_C,
     cost_fe_exact,
     cost_rn_exact,
@@ -36,13 +35,12 @@ from .quadrature import (
     GaussLegendreRule,
     build_rule,
     frac_moment_sum,
-    gl_error_factor,
     integrate,
     iterated_gl_lhs,
     iterated_gl_rhs,
     scale_weight,
 )
-from .randomness import MultiIndex, PathIncrements, derive_key, sample_path
+from .randomness import MultiIndex, PathIncrements, sample_path
 from .selfcheck import CheckResult, run_selfcheck
 
 __version__ = "0.1.0"
@@ -64,17 +62,14 @@ __all__ = [
     "Problem",
     "binomial",
     "bound_nmq",
-    "bound_nnn",
     "build_problem",
     "build_rule",
     "check_request",
     "constant_C",
     "cost_fe_exact",
     "cost_rn_exact",
-    "derive_key",
     "discrete_fk_residual",
     "frac_moment_sum",
-    "gl_error_factor",
     "heat_quadratic",
     "integrate",
     "iterated_gl_lhs",

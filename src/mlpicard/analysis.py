@@ -20,7 +20,6 @@ __all__ = [
     "BoundInputs",
     "binomial",
     "bound_nmq",
-    "bound_nnn",
     "constant_C",
     "cost_fe_exact",
     "cost_rn_exact",
@@ -175,11 +174,6 @@ def log_bound_nnn(inputs: BoundInputs) -> float:
     _check_integer("n", inputs.n, 2)
     diag = replace(inputs, M=inputs.n, Q=inputs.n, alpha=0.25)
     return log_bound_nmq(diag)
-
-
-def bound_nnn(inputs: BoundInputs) -> float:
-    """Diagonal error bound (n = M = Q, alpha = 1/4), inf beyond the float range."""
-    return _exp(log_bound_nnn(inputs))
 
 
 def _exp(log_value: float) -> float:

@@ -16,11 +16,12 @@ multiplied by the gradient weight (1, dW_t / (t - s)).  Every Monte
 Carlo sample owns a distinct multi-index key, so the whole tree of
 draws is reproducible and independent of scheduling.
 
-Every entry takes one request step, ``_prepare``, and runs its lanes on
-one planner, ``_run_replications``: a point as one lane, the studies and
-both sides of the residual check in lane chunks, so a call holds one
-chunk per thread in memory; results are bitwise independent of chunking
-and thread count.
+Every entry takes one request step, ``_prepare``, which returns one
+cached plan of the recursion, ``_plan``, and runs its lanes on one
+runner, ``_run_replications``: a point as one lane, the studies and both
+sides of the residual check in lane chunks, so a call holds one chunk
+per thread in memory; results are bitwise independent of chunking and
+thread count.
 
 ``_mlp_batch`` allocates the outputs of its array work -- the terminal
 term's sample sums, each node group's shifted points -- and passes them,
@@ -49,8 +50,10 @@ recursions of :mod:`mlpicard.analysis` exactly.
 from __future__ import annotations
 
 import types
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -59,7 +62,7 @@ from . import _bits
 from .analysis import cost_rn_exact
 from .errors import _POSITIVE, BudgetError, ConfigError, EvaluationError
 from .errors import _check_instance, _check_integer, _check_real, _real_array
-from .quadrature import MAX_ORDER, GaussLegendreRule, build_rule
+from .quadrature import MAX_ORDER, build_rule
 from .randomness import _MASK64, _extend_state, _key, _root_state, _standard_normals, state_for_key
 
 __all__ = [
@@ -225,7 +228,9 @@ def check_request(
     integer of at least 0, 1, 1, 2 and 1, Q above 64, replications above
     2^63 (replication r is an int64 key label) or threads above
     ``MAX_THREADS``; s not a finite real in [0, horizon), x not d finite
-    reals, or a bad seed or key.  A bool is not a number.
+    reals, or a bad seed or key; s so close to the horizon that, along the
+    chain of last time nodes of n nested calls, a call's first node rounds
+    onto its start.  A bool is not a number.
     BudgetError: n above ``MAX_LEVEL``, or ``cost_rn_exact`` Gaussians per
     estimate above ``MAX_GAUSSIANS``.
     """
@@ -246,16 +251,36 @@ def check_request(
     predicted = cost_rn_exact(n, M, Q, problem.dim)
     if predicted > MAX_GAUSSIANS:
         raise BudgetError(f"predicted {predicted} scalar normal draws per estimate exceed the budget {MAX_GAUSSIANS}")
+    nodes, horizon, t = build_rule(Q).nodes.tolist(), float(problem.horizon), float(s) + 0.0
+    for _ in range(n):  # the starts whose spans shrink fastest, in the float operations of _mlp_batch's nodes
+        if not t + nodes[0] * (horizon - t) > t:
+            raise ValueError(f"s={s!r} is too close to horizon={problem.horizon} for n={n}, Q={Q}: "
+                             f"the first time node of a nested call rounds onto its start {t!r}")
+        t += nodes[-1] * (horizon - t)
     return _read_only(np.ascontiguousarray(x).view())  # a view: the caller's array keeps its flags
 
 
 def _prepare(problem, n, M, Q, s, x, seed, key, replications, threads, counters) -> tuple:
     """The request step of every entry: ``check_request``, then the read-only x, the start time as a float of +0.0
-    or above (``check_request`` lets -0.0 through), the quadrature rule and the counters, fresh ones if None."""
+    or above (``check_request`` lets -0.0 through), the plan and the counters, fresh ones if None."""
     x = check_request(problem, n, M, Q, s, x, seed, key, replications, threads)
     counters = CostCounters() if counters is None else counters
     _check_instance("counters", counters, CostCounters)
-    return x, float(s) + 0.0, build_rule(Q), counters
+    return x, float(s) + 0.0, _plan(int(n), int(M), int(Q), int(problem.dim)), counters
+
+
+_Plan = namedtuple("_Plan", "n M Q rule block children chains ranks")
+
+
+@lru_cache(maxsize=256)
+def _plan(n: int, M: int, Q: int, d: int) -> _Plan:
+    """What a level-n call at (M, Q, d) reads besides its lanes: its rule; ``block`` = M^n Q d, its Gaussians per
+    lane; ``children``, the plans of levels 0..n-1; ``chains``, whose row n + l is the one-label chain (l,) for
+    l = -n..n; and ``ranks`` 1..Q.  The arrays are read-only and none grows with M: a call's M^(n-l) sample labels
+    stay its own.  No cap or kernel switch is read here, since tests patch them between calls."""
+    chains = _read_only(np.arange(-n, n + 1, dtype=np.int64).reshape(-1, 1))
+    ranks = _read_only(np.arange(1, Q + 1, dtype=np.int64))
+    return _Plan(n, M, Q, build_rule(Q), M**n * Q * d, tuple(_plan(l, M, Q, d) for l in range(n)), chains, ranks)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -320,7 +345,7 @@ def _node_terms_numpy(f, dw, weights, nodes, s, out: np.ndarray, m, B, g, Q, d, 
 
 
 _NUMPY = types.SimpleNamespace(node_sums=_node_sums_numpy, shifted_points=_points_numpy, node_terms=_node_terms_numpy)
-_NO_CHAIN = np.zeros(0, dtype=np.int64)
+_NO_CHAIN = _read_only(np.zeros(0, dtype=np.int64))
 
 
 def _lane_states(seed: int, key: Sequence[int], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,37 +354,29 @@ def _lane_states(seed: int, key: Sequence[int], lo: int, hi: int) -> tuple[np.nd
     return h0.reshape(-1), h1.reshape(-1)
 
 
-def _child_estimates(problem, level, M, Q, rule, h0, h1, ranks, t, y, counters) -> np.ndarray:
-    """Read-only level-``level`` estimates at (t, y), lane p * len(ranks) + j keyed (prefix p, ranks[j]).
+def _child_estimates(problem, plan, h0, h1, ranks, t, y, counters) -> np.ndarray:
+    """Read-only estimates of ``plan``'s level at (t, y), lane p * len(ranks) + j keyed (prefix p, ranks[j]).
 
     A level-0 estimate is a zero view: no key, call or array.
     """
-    if level == 0:
+    if plan.n == 0:
         return np.broadcast_to(0.0, (y.shape[0], y.shape[1] + 1))
     kh0, kh1 = _extend_state(h0, h1, _NO_CHAIN, ranks, h0.size)
-    return _read_only(_mlp_batch(problem, level, M, Q, rule, kh0.reshape(-1), kh1.reshape(-1), t, y, counters))
+    return _read_only(_mlp_batch(problem, plan.n, plan.M, plan.Q, plan, kh0.reshape(-1), kh1.reshape(-1), t, y,
+                                 counters))
 
 
-def _mlp_batch(
-    problem: Problem,
-    n: int,
-    M: int,
-    Q: int,
-    rule: GaussLegendreRule,
-    h0: np.ndarray,
-    h1: np.ndarray,
-    s: Union[float, np.ndarray],
-    x: np.ndarray,
-    counters: CostCounters,
-) -> np.ndarray:
+def _mlp_batch(problem, n, M, Q, plan, h0, h1, s, x, counters) -> np.ndarray:
     """Level-n estimates for a batch of lanes.
 
-    ``h0``/``h1`` are the per-lane key states, ``x`` the per-lane
-    points, shape (B, d), and ``s`` the start time: a float shared by
-    all lanes or a (B,) array of per-lane times.  Returns (B, d+1).
-    Monte Carlo sample axes and groups of time nodes are folded into the
-    lane axis for recursive calls, so the work per lane -- and hence
-    every per-lane result -- is independent of how lanes are batched.
+    ``plan`` is ``_plan(n, M, Q, d)``, whose key stays in arguments 1 to 3:
+    ``bench/tracing.py`` reads the level there, and the lanes x in argument
+    8.  ``h0``/``h1`` are the per-lane key states, ``x`` the per-lane
+    points, shape (B, d), and ``s`` the start time: a float shared by all
+    lanes or a (B,) array of per-lane times.  Returns (B, d+1).  Monte
+    Carlo sample axes and groups of time nodes are folded into the lane
+    axis for recursive calls, so the work per lane -- and hence every
+    per-lane result -- is independent of how lanes are batched.
     """
     B, d = x.shape
     if n == 0:
@@ -374,9 +391,9 @@ def _mlp_batch(
     gx = _evaluate(problem.terminal, "terminal", (B,), x)
     out[:, 0] = gx
 
-    m = M**n
-    labels = np.arange(1, m + 1, dtype=np.int64)
-    th0, th1 = _extend_state(h0, h1, np.array([0], dtype=np.int64), -labels)  # (1, m, B): keys (key, 0, -i)
+    labels = np.arange(1, M**n + 1, dtype=np.int64)  # the sample labels; level l takes the first M^(n-l)
+    m = labels.size
+    th0, th1 = _extend_state(h0, h1, plan.chains[n], -labels)  # (1, m, B): keys (key, 0, -i)
     dw = _standard_normals(th0, th1, d, np.sqrt(span)[..., None]).reshape(m, B, d)
     counters.gaussians_drawn += m * B * d
     # a numpy add, not shifted_points: at one node its C loop runs 2.3x slower on (m, B, d) = (256, 25, 2)
@@ -387,25 +404,24 @@ def _mlp_batch(
     out[:, 0] += sf / m
     out[:, 1:] += sfw / (m * span)[..., None]
 
-    nodes = s[..., None] + rule.nodes * span[..., None]  # (Q,) or (B, Q)
-    weights = rule.weights * span[..., None]
+    nodes = s[..., None] + plan.rule.nodes * span[..., None]  # (Q,) or (B, Q)
+    weights = plan.rule.weights * span[..., None]
     sqrt_dts = np.sqrt(np.diff(nodes, prepend=s[..., None]))
-    # every descendant's block of B * M^n * Q * d Gaussians grows by the
+    # every descendant's block of B * plan.block Gaussians grows by the
     # group size, so groups stop at the cap
-    group = max(1, min(Q, _FOLD_CAP // (B * M**n * Q * d)))
+    group = max(1, min(Q, _FOLD_CAP // (B * plan.block)))
 
     for level in range(n):
         m = M ** (n - level)
-        labels = np.arange(1, m + 1, dtype=np.int64)
-        ph0, ph1 = _extend_state(h0, h1, np.array([level], dtype=np.int64), labels)  # (1, m, B): keys (key, level, i)
+        ph0, ph1 = _extend_state(h0, h1, plan.chains[n + level], labels[:m])  # (1, m, B): keys (key, level, i)
         dw_nodes = _standard_normals(ph0, ph1, d, sqrt_dts).reshape(m, B, Q, d)
         counters.gaussians_drawn += m * B * Q * d
         # (1, m, B): prefix (key, -level, i) of the lower estimates, zero at level 1
-        nh0, nh1 = _extend_state(h0, h1, np.array([-level], dtype=np.int64), labels) if level >= 2 else (None, None)
+        nh0, nh1 = _extend_state(h0, h1, plan.chains[n - level], labels[:m]) if level >= 2 else (None, None)
         for k0 in range(0, Q, group):
             g = min(group, Q - k0)
             lanes = m * B * g
-            ranks = np.arange(k0 + 1, k0 + g + 1, dtype=np.int64)
+            ranks = plan.ranks[k0 : k0 + g]
             t = nodes[..., k0 : k0 + g]
             t = t.item() if t.size == 1 else _read_only(np.broadcast_to(t, (m, B, g)).reshape(lanes))
             y = np.empty((lanes, d))
@@ -413,12 +429,12 @@ def _mlp_batch(
             y.flags.writeable = False
 
             # keys (key, level, i, rank)
-            inner = _child_estimates(problem, level, M, Q, rule, ph0, ph1, ranks, t, y, counters)
+            inner = _child_estimates(problem, plan.children[level], ph0, ph1, ranks, t, y, counters)
             fv = _evaluate(problem.nonlinearity, "nonlinearity", (lanes,), t, y, inner[:, 0], inner[:, 1:])
             counters.f_evals += lanes
             if level >= 1:
                 # keys (key, -level, i, rank)
-                lo = _child_estimates(problem, level - 1, M, Q, rule, nh0, nh1, ranks, t, y, counters)
+                lo = _child_estimates(problem, plan.children[level - 1], nh0, nh1, ranks, t, y, counters)
                 fv = fv - _evaluate(problem.nonlinearity, "nonlinearity", (lanes,), t, y, lo[:, 0], lo[:, 1:])
                 counters.f_evals += lanes
 
@@ -448,20 +464,21 @@ def mlp_estimate(
     before any work happens.  ``counters`` accumulates the realized costs
     (fresh ones if omitted).
     """
-    x, s, rule, counters = _prepare(problem, n, M, Q, s, x, seed, key, None, 1, counters)
+    x, s, plan, counters = _prepare(problem, n, M, Q, s, x, seed, key, None, 1, counters)
     h0, h1 = state_for_key(seed, key)
     components = _run_replications(
-        lambda lo, hi, c: _mlp_batch(problem, n, M, Q, rule, h0, h1, s, x[None, :], c),
-        1, M**n * Q * problem.dim, 1, counters,
+        lambda lo, hi, c: _mlp_batch(problem, plan.n, plan.M, plan.Q, plan, h0, h1, s, x[None, :], c),
+        1, plan.block, 1, counters,
     )
     return Estimate(components=components[0])
 
 
-def _replication_batch(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, counters) -> np.ndarray:
-    """Estimates for replications rep_lo..rep_hi-1, keys ``key + (r,)``."""
+def _replication_batch(problem, plan, seed, key, s, x, counters, rep_lo, rep_hi) -> np.ndarray:
+    """Estimates for replications rep_lo..rep_hi-1 (arguments 7 and 8, as ``bench/tracing.py`` reads them), keys
+    ``key + (r,)``."""
     rh0, rh1 = _lane_states(seed, key, rep_lo, rep_hi)
     xs = _read_only(np.repeat(x[None, :], rep_hi - rep_lo, axis=0))
-    return _mlp_batch(problem, n, M, Q, rule, rh0, rh1, s, xs, counters)
+    return _mlp_batch(problem, plan.n, plan.M, plan.Q, plan, rh0, rh1, s, xs, counters)
 
 
 def _run_replications(work, replications, block, threads, counters, failure="estimator produced non-finite components"):
@@ -528,12 +545,12 @@ def mc_l2_error(
     before any work happens.
     """
     _check_integer("replications", replications, 2)  # check_request reads None as a single estimate
-    x, s, rule, counters = _prepare(problem, n, M, Q, s, x, seed, key, replications, threads, counters)
+    x, s, plan, counters = _prepare(problem, n, M, Q, s, x, seed, key, replications, threads, counters)
     if problem.exact is None:
         raise ValueError("mc_l2_error requires a problem with an exact solution")
     estimates = _run_replications(
-        lambda lo, hi, c: _replication_batch(problem, n, M, Q, rule, seed, key, lo, hi, s, x, c),
-        replications, M**n * Q * problem.dim, threads, counters,
+        lambda lo, hi, c: _replication_batch(problem, plan, seed, key, s, x, c, lo, hi),
+        replications, plan.block, threads, counters,
     )
 
     exact = _evaluate(problem.exact, "exact", (1, problem.dim + 1), s, x[None, :])[0]
@@ -557,13 +574,13 @@ def mc_l2_error(
     )
 
 
-def _residual_rhs(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, counters) -> np.ndarray:
+def _residual_rhs(problem, plan, seed, key, s, x, counters, rep_lo, rep_hi) -> np.ndarray:
     """Right-hand-side samples rep_lo..rep_hi-1 of ``discrete_fk_residual``, shape (rep_hi - rep_lo, d+1).
 
     Sample r follows the path keyed ``key + (1, r)`` and runs its inner
     level-(n-1) estimates under keys ``key + (2, r, rank)``.
     """
-    d, R = problem.dim, rep_hi - rep_lo
+    d, R, Q, rule = problem.dim, rep_hi - rep_lo, plan.Q, plan.rule
     span = problem.horizon - s
     nodes = s + rule.nodes * span
     times = np.append(nodes, problem.horizon)
@@ -579,8 +596,7 @@ def _residual_rhs(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, count
     ih0, ih1 = _lane_states(seed, (*key, 2), rep_lo, rep_hi)
     t = _read_only(np.broadcast_to(nodes, (R, Q)).reshape(R * Q))
     y = _read_only((x[None, None, :] + dw[:, :Q, :]).reshape(R * Q, d))
-    ranks = np.arange(1, Q + 1, dtype=np.int64)
-    inner = _child_estimates(problem, n - 1, M, Q, rule, ih0, ih1, ranks, t, y, counters)  # keys (key, 2, r, rank)
+    inner = _child_estimates(problem, plan.children[-1], ih0, ih1, plan.ranks, t, y, counters)  # keys (key, 2, r, rank)
     fv = _evaluate(problem.nonlinearity, "nonlinearity", (R * Q,), t, y, inner[:, 0], inner[:, 1:]).reshape(R, Q)
     counters.add(CostCounters(R * (Q + 1) * d, f_evals=R * Q, g_evals=R))  # the path, f at the nodes, g at T
     for k in range(Q):
@@ -618,20 +634,20 @@ def discrete_fk_residual(
     Restricted to small instances (d <= 3, n <= 2, M <= 3, Q <= 3).
     """
     _check_integer("replications", replications, 2)  # check_request reads None as a single estimate
-    x, s, rule, counters = _prepare(problem, n, M, Q, s, x, seed, key, replications, 1, counters)
+    x, s, plan, counters = _prepare(problem, n, M, Q, s, x, seed, key, replications, 1, counters)
     for name, value, high in (("n", n, 2), ("M", M, 3), ("Q", Q, 3), ("problem.dim", problem.dim, 3)):
         _check_integer(f"residual check {name}", value, 1, high)
-    d, R = problem.dim, replications
+    R = replications
     failure = "residual estimation produced non-finite values"
 
     lhs = _run_replications(
-        lambda lo, hi, c: _replication_batch(problem, n, M, Q, rule, seed, (*key, 0), lo, hi, s, x, c),
-        R, M**n * Q * d, 1, counters, failure,
+        lambda lo, hi, c: _replication_batch(problem, plan, seed, (*key, 0), s, x, c, lo, hi),
+        R, plan.block, 1, counters, failure,
     )
-    # each right-hand lane makes a level-(n-1) call over Q lanes, a block of Q M^(n-1) Q d Gaussians
+    # each right-hand lane makes a level-(n-1) call over Q lanes
     rhs = _run_replications(
-        lambda lo, hi, c: _residual_rhs(problem, n, M, Q, rule, seed, key, lo, hi, s, x, c),
-        R, Q * M ** (n - 1) * Q * d, 1, counters, failure,
+        lambda lo, hi, c: _residual_rhs(problem, plan, seed, key, s, x, c, lo, hi),
+        R, plan.Q * plan.children[-1].block, 1, counters, failure,
     )
     residual = lhs.mean(axis=0) - rhs.mean(axis=0)
     se = np.sqrt(lhs.var(axis=0, ddof=1) / R + rhs.var(axis=0, ddof=1) / R)

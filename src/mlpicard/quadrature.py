@@ -7,9 +7,9 @@ interval [a, b] by mapping nodes and multiplying weights by (b - a).
 
 The module also exposes the nested node sums over chains
 t0 < t1 < ... < tk < T weighted by 1/sqrt(t_{i+1} - t_i), their
-closed-form reference product, the reference fractional-moment sums,
-and the classical quadrature error factor -- the diagnostic quantities
-the self-check and the error bounds are built from.
+closed-form reference product and the reference fractional-moment
+sums -- the diagnostic quantities the self-check and the error bounds
+are built from.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import log_gamma
 from .errors import EvaluationError, _check_instance, _check_integer, _check_real
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "MAX_ORDER",
     "build_rule",
     "frac_moment_sum",
-    "gl_error_factor",
     "integrate",
     "iterated_gl_lhs",
     "iterated_gl_rhs",
@@ -194,22 +192,3 @@ def frac_moment_sum(order: int, j: int) -> float:
     j = _check_real("j", j, 0.0)
     rule = build_rule(order)
     return float(np.sum(rule.weights * (1.0 - rule.nodes) ** j / np.sqrt(rule.nodes)))
-
-
-def gl_error_factor(order: int, interval_length: float) -> float:
-    """Classical error factor (Q!)^4 L^(2Q+1) / ((2Q+1) ((2Q)!)^3).
-
-    Evaluated in log space: the factorials overflow double precision
-    long before the factor itself stops being meaningful.
-    """
-    _check_integer("order", order, 1)
-    interval_length = _check_real("interval_length", interval_length, 0.0)
-    if interval_length == 0.0:
-        return 0.0
-    q = int(order)
-    return math.exp(
-        4.0 * log_gamma(q + 1)
-        + (2 * q + 1) * math.log(interval_length)
-        - math.log(2 * q + 1)
-        - 3.0 * log_gamma(2 * q + 1)
-    )

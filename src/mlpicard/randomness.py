@@ -42,7 +42,6 @@ from .errors import _check_integer, _check_real, _real_array
 __all__ = [
     "MultiIndex",
     "PathIncrements",
-    "derive_key",
     "sample_path",
     "state_for_key",
 ]
@@ -99,7 +98,7 @@ def _extend_state(h0: np.ndarray, h1: np.ndarray, chain: np.ndarray, labels: np.
 
 
 def state_for_key(seed: int, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Fold (seed, key) into shape-(1,) state words; integer seed in [0, 2**64), labels as in derive_key."""
+    """Fold (seed, key) into shape-(1,) state words; seed an integer in [0, 2**64), key a sequence of int64 integers."""
     _check_integer("seed", seed, 0, _MASK64)
     h0, h1 = _root_state(seed)
     labels = np.array(_key("key", key), dtype=np.int64)
@@ -118,11 +117,6 @@ def _key(name: str, labels: Sequence[int]) -> MultiIndex:
     for label in labels:
         _check_integer("multi-index label", label, -(2**63), 2**63 - 1)
     return tuple(int(label) for label in labels)
-
-
-def derive_key(parent: Sequence[int], extension: Sequence[int]) -> MultiIndex:
-    """Child key: the parent's labels followed by the extension's labels."""
-    return _key("parent", parent) + _key("extension", extension)
 
 
 def ndtri(u, *out):
@@ -171,10 +165,6 @@ class PathIncrements:
     start: float
     times: np.ndarray
     increments: np.ndarray
-
-    def displacements(self) -> np.ndarray:
-        """W(times[j]) - W(start) for every j, shape (len(times), dimension)."""
-        return np.cumsum(self.increments, axis=0)
 
 
 def sample_path(seed: int, key: Sequence[int], dimension: int, start: float, times: Sequence[float]) -> PathIncrements:

@@ -10,7 +10,6 @@ from mlpicard.analysis import (
     BoundInputs,
     binomial,
     bound_nmq,
-    bound_nnn,
     constant_C,
     cost_fe_exact,
     cost_rn_exact,
@@ -123,14 +122,14 @@ def test_bound_monotone_in_M_below_half_n():
 
 def test_bound_nnn_matches_general_formula():
     inputs = _inputs(n=3, M=3, Q=3, sup_f0=0.7, sup_u=1.1, deriv_ratio=2.0, lip_f_l1=1.0)
-    assert bound_nnn(inputs) == pytest.approx(bound_nmq(inputs), rel=1e-14)
+    assert log_bound_nnn(inputs) == pytest.approx(log_bound_nmq(inputs), rel=1e-14)
 
 
 def test_bound_guards():
     with pytest.raises(ValueError):
         bound_nmq(_inputs(M=1))
     with pytest.raises(ValueError):
-        bound_nnn(_inputs(n=1))
+        log_bound_nnn(_inputs(n=1))
     with pytest.raises(ValueError):
         bound_nmq(_inputs(alpha=1.5))
     with pytest.raises(ValueError):

@@ -43,7 +43,6 @@ PROBLEM = dict(horizon=1.0, dim=2, terminal=lambda x: x[:, 0], nonlinearity=lamb
 CASES = [
     ("binomial", mp.binomial, dict(n=3, k=1), {"n": {"2**64"}, "k": {"2**64"}}, {}),
     ("bound_nmq", mp.bound_nmq, dict(inputs=mp.BoundInputs(**BOUND)), {}, {}),
-    ("bound_nnn", mp.bound_nnn, dict(inputs=mp.BoundInputs(**BOUND)), {}, {}),
     ("BoundInputs fields", lambda **kw: mp.bound_nmq(mp.BoundInputs(**kw)), BOUND,
      {"t0": {"negative"}, **{name: {"2**64"} for name in BOUND if name not in ("t0", "alpha")}}, {}),
     ("build_problem", mp.build_problem, dict(name="heat_quadratic", dim=2, horizon=1.0), {"horizon": {"2**64"}}, {}),
@@ -54,11 +53,8 @@ CASES = [
      {"T": {"2**64"}, "t0": {"negative"}, "lip_f_l1": {"2**64"}}, {}),
     ("cost_fe_exact", mp.cost_fe_exact, dict(n=1, M=1, Q=1), {"M": {"2**64"}, "Q": {"2**64"}}, {}),
     ("cost_rn_exact", mp.cost_rn_exact, dict(n=1, M=1, Q=1, d=1), {"M": {"2**64"}, "Q": {"2**64"}, "d": {"2**64"}}, {}),
-    ("derive_key", mp.derive_key, dict(parent=(), extension=(1,)), {"parent": {"list"}, "extension": {"list"}}, {}),
     ("discrete_fk_residual", mp.discrete_fk_residual, dict(POINT, replications=2), {"key": {"list"}}, {}),
     ("frac_moment_sum", mp.frac_moment_sum, dict(order=3, j=1), {"j": {"2**64"}}, {}),
-    ("gl_error_factor", mp.gl_error_factor, dict(order=3, interval_length=1.0),
-     {"order": {"2**64"}, "interval_length": {"2**64"}}, {}),
     ("heat_quadratic", mp.heat_quadratic, dict(dim=2, horizon=1.0, box_radius=3.0),
      {"horizon": {"2**64"}, "box_radius": {"2**64"}}, {}),
     ("integrate", lambda **kw: mp.integrate(f=lambda t: t, **kw), dict(rule=mp.build_rule(2), a=0.0, b=1.0),

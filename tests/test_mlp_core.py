@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -233,7 +234,7 @@ def _record_chunks(monkeypatch):
     """Record (rep_lo, rep_hi) of every ``_replication_batch`` call, which returns zeros instead of estimates."""
     chunks = []
 
-    def record(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, counters):
+    def record(problem, plan, seed, key, s, x, counters, rep_lo, rep_hi):
         chunks.append((rep_lo, rep_hi))
         return np.zeros((rep_hi - rep_lo, problem.dim + 1))
 
@@ -271,7 +272,7 @@ def test_lane_planner_chunks(monkeypatch):
     # a level-(n-1) call over Q lanes, a block of Q M^(n-1) Q d Gaussians
     rhs_chunks = []
 
-    def record_rhs(problem, n, M, Q, rule, seed, key, rep_lo, rep_hi, s, x, counters):
+    def record_rhs(problem, plan, seed, key, s, x, counters, rep_lo, rep_hi):
         rhs_chunks.append((rep_lo, rep_hi))
         return np.ones((rep_hi - rep_lo, problem.dim + 1))
 
@@ -418,15 +419,16 @@ def _trace_calls(monkeypatch):
     calls = []
     inner = mlp_core._mlp_batch
 
-    def traced(problem, n, M, Q, rule, h0, h1, s, x, counters):
+    def traced(problem, n, M, Q, plan, h0, h1, s, x, counters):
         calls.append(x.shape[0] * M**n * Q * x.shape[1])
-        return inner(problem, n, M, Q, rule, h0, h1, s, x, counters)
+        return inner(problem, n, M, Q, plan, h0, h1, s, x, counters)
 
     monkeypatch.setattr(mlp_core, "_mlp_batch", traced)
     return calls
 
 
 def test_node_fold_call_count_and_block_cap(monkeypatch):
+    # the fold cap changes after a first call has cached the request's plan, so a cap kept in the plan fails here
     problem = manufactured_sine(2)
     calls = _trace_calls(monkeypatch)
     mlp_estimate(problem, 3, 3, 3, key=(1,), seed=2, x=np.zeros(2))
@@ -439,6 +441,35 @@ def test_node_fold_call_count_and_block_cap(monkeypatch):
         calls.clear()
         mlp_estimate(problem, 3, 3, 3, key=(1,), seed=2, x=np.zeros(2))
         assert max(calls) <= max(cap, calls[0])
+
+
+def test_plan_is_read_only_flat_in_M_and_sized_by_the_recursion():
+    # a plan's arrays, its rule's included, are read-only and hold the same bytes at M = 2 and M = 10^6; its blocks
+    # are M^l Q d Gaussians at every level, and its rule, ranks and chains those of its key, for every request
+    # check_request accepts at d = 1 and 2 with M, Q <= 4
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):  # the plan and its children
+            for item in value:
+                yield from arrays(item)
+        elif dataclasses.is_dataclass(value):  # the rule
+            for item in vars(value).values():
+                yield from arrays(item)
+
+    assert not any(a.flags.writeable for a in arrays(mlp_core._plan(3, 2, 3, 2)))
+    assert len({sum(a.nbytes for a in arrays(mlp_core._plan(1, M, 4, 1))) for M in (2, 10**6)}) == 1
+    accepted = 0
+    for d, n, M, Q in itertools.product((1, 2), range(mlp_core.MAX_LEVEL + 1), range(1, 5), range(1, 5)):
+        try:
+            check_request(manufactured_sine(d), n, M, Q, 0.0, np.zeros(d))
+        except BudgetError:
+            continue
+        plan, accepted = mlp_core._plan(n, M, Q, d), accepted + 1
+        assert (plan.block, [c.block for c in plan.children]) == (M**n * Q * d, [M**l * Q * d for l in range(n)])
+        assert (plan.rule.order, plan.ranks.tolist(), plan.chains.tolist()) == (Q, [*range(1, Q + 1)],
+                                                                               [[l] for l in range(-n, n + 1)])
+    assert accepted > 180
 
 
 def test_problem_output_shapes_are_checked():
@@ -643,6 +674,18 @@ def test_domain_validation():
     for x in (["a", "b"], [1 + 2j, 0], [None, 0.0], np.array([True, False])):
         with pytest.raises(ValueError, match=f"^x must hold finite real numbers, got {re.escape(repr(x))}$"):
             mlp_estimate(problem, 1, 2, 2, x=x)
+
+
+def test_collapsed_time_nodes_are_rejected_before_any_work():
+    # near the horizon a nested call's first Gauss-Legendre node rounds onto its start, so dW / (t - s) would divide
+    # by zero and the estimate would raise EvaluationError after all its work; the request guard names the request
+    problem = manufactured_sine(1)
+    for n, Q, s in ((1, 2, 1 - 1e-16), (1, 16, 1 - 1e-14), (3, 64, 0.999999)):
+        message = rf"^s={re.escape(repr(s))} is too close to horizon=1.0 for n={n}, Q={Q}: the first time node "
+        with pytest.raises(ValueError, match=message):
+            mlp_estimate(problem, n, 1, Q, s=s, x=np.zeros(1))
+    for n, Q, s in ((1, 2, 1 - 1e-15), (3, 64, 0.99999)):  # as near as these run, with finite output
+        assert np.isfinite(mlp_estimate(problem, n, 1, Q, s=s, x=np.zeros(1)).components).all()
 
 
 def test_non_finite_terminal_raises():

@@ -8,7 +8,6 @@ from mlpicard.quadrature import (
     MAX_ORDER,
     build_rule,
     frac_moment_sum,
-    gl_error_factor,
     integrate,
     iterated_gl_lhs,
     iterated_gl_rhs,
@@ -195,16 +194,3 @@ def test_frac_moment_examples_and_bound():
         for j in range(13):
             cap = math.exp(math.lgamma(0.5) + math.lgamma(j + 1) - math.lgamma(j + 1.5))
             assert frac_moment_sum(order, j) <= cap * (1.0 + 1e-13)
-
-
-def test_gl_error_factor():
-    # oracles: exact rational arithmetic 1^4/(3*2^3) and (2!)^4/(5*(4!)^3)
-    assert gl_error_factor(1, 1.0) == pytest.approx(1.0 / 24.0, rel=1e-12)
-    assert gl_error_factor(2, 1.0) == pytest.approx(16.0 / 69120.0, rel=1e-12)
-    assert gl_error_factor(5, 0.0) == 0.0
-    # log-space evaluation keeps huge factorials finite
-    assert 0.0 < gl_error_factor(64, 2.0) < float("inf")
-    with pytest.raises(ValueError):
-        gl_error_factor(0, 1.0)
-    with pytest.raises(ValueError):
-        gl_error_factor(2, -1.0)
