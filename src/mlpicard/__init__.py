@@ -15,7 +15,6 @@ from .analysis import (
     cost_fe_exact,
     cost_rn_exact,
     iterated_gl_upper_bound,
-    log_gamma,
     norm_log_subadditivity_check,
 )
 from .errors import BudgetError, ConfigError, EvaluationError
@@ -40,7 +39,7 @@ from .quadrature import (
     iterated_gl_rhs,
     scale_weight,
 )
-from .randomness import MultiIndex, PathIncrements, sample_path
+from .randomness import sample_path
 from .selfcheck import CheckResult, run_selfcheck
 
 __version__ = "0.1.0"
@@ -56,9 +55,7 @@ __all__ = [
     "EvaluationError",
     "FkResidual",
     "GaussLegendreRule",
-    "MultiIndex",
     "PROBLEMS",
-    "PathIncrements",
     "Problem",
     "binomial",
     "bound_nmq",
@@ -75,7 +72,6 @@ __all__ = [
     "iterated_gl_lhs",
     "iterated_gl_rhs",
     "iterated_gl_upper_bound",
-    "log_gamma",
     "manufactured_sine",
     "mc_l2_error",
     "mlp_estimate",

@@ -203,7 +203,6 @@ class FkResidual:
 
     residual: np.ndarray
     radius: np.ndarray
-    replications: int
 
     @property
     def within_radius(self) -> bool:
@@ -651,4 +650,4 @@ def discrete_fk_residual(
     )
     residual = lhs.mean(axis=0) - rhs.mean(axis=0)
     se = np.sqrt(lhs.var(axis=0, ddof=1) / R + rhs.var(axis=0, ddof=1) / R)
-    return FkResidual(residual=residual, radius=4.0 * se, replications=R)
+    return FkResidual(residual=residual, radius=4.0 * se)

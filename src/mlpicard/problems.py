@@ -14,7 +14,7 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from .analysis import _exp, log_gamma
+from .analysis import _exp
 from .errors import _POSITIVE, _check_instance, _check_integer, _check_real, _real_array
 from .mlp_core import Problem
 
@@ -152,7 +152,7 @@ def manufactured_sine(
     sup_f0 = math.sqrt(1.0 + kappa * kappa) + beta * math.sin(1.0) + gamma * math.sin(min(c, 0.5 * math.pi))
     log_growth = math.log1p(kappa)
     log_amp = math.log1p(c * d)
-    deriv_ratio = _finite(_exp(max(k * log_growth + log_amp - 0.75 * log_gamma(k + 1) for k in range(201))))
+    deriv_ratio = _finite(_exp(max(k * log_growth + log_amp - 0.75 * math.lgamma(k + 1) for k in range(201))))
 
     return Problem(
         horizon=T,
@@ -170,17 +170,17 @@ def manufactured_sine(
     )
 
 
-def pde_residual_fd(problem: Problem, t: float, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central-difference residual du/dt + (1/2) Laplacian(u) + f at (t, x).
+def pde_residual_fd(problem: Problem, t: float, x: np.ndarray) -> np.ndarray:
+    """Central-difference residual du/dt + (1/2) Laplacian(u) + f at (t, x), with step h = 1e-4.
 
     Uses the exact solution's value component for the differences and
     its gradient component as the gradient argument of f.  ``x`` has
-    shape (L, d); t must satisfy h <= t <= horizon - h for a step h > 0.
+    shape (L, d); t must satisfy h <= t <= horizon - h.
     """
     _check_instance("problem", problem, Problem)
     if problem.exact is None:
         raise ValueError("residual check requires an exact solution")
-    t, h = _check_real("t", t), _check_real("h", h, _POSITIVE)
+    t, h = _check_real("t", t), 1e-4
     if not h <= t <= problem.horizon - h:
         raise ValueError(f"need h <= t <= horizon - h for central differences, got t={t}")
     x, d = _real_array("x", x), problem.dim

@@ -30,8 +30,7 @@ the path.
 from __future__ import annotations
 
 import types
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -40,13 +39,9 @@ from ._bits import uniforms_from_states
 from .errors import _check_integer, _check_real, _real_array
 
 __all__ = [
-    "MultiIndex",
-    "PathIncrements",
     "sample_path",
     "state_for_key",
 ]
-
-MultiIndex = Tuple[int, ...]
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -106,7 +101,7 @@ def state_for_key(seed: int, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray
     return words[0].reshape(1), words[1].reshape(1)
 
 
-def _key(name: str, labels: Sequence[int]) -> MultiIndex:
+def _key(name: str, labels: Sequence[int]) -> tuple[int, ...]:
     """``labels`` as a tuple of Python ints; a ValueError names ``name`` or the label unless each is an int64.
 
     A key is a sequence or a 1-d array: an iterator read here would reach
@@ -153,25 +148,13 @@ def _standard_normals(h0: np.ndarray, h1: np.ndarray, d: int, scales: np.ndarray
     return out
 
 
-@dataclass(frozen=True)
-class PathIncrements:
-    """Increments of one Brownian path observed at sorted times.
-
-    ``increments[j]`` is W(times[j]) - W(times[j-1]) with times[-1]
-    meaning the start time; each coordinate is N(0, times[j] - times[j-1]).
-    """
-
-    dimension: int
-    start: float
-    times: np.ndarray
-    increments: np.ndarray
-
-
-def sample_path(seed: int, key: Sequence[int], dimension: int, start: float, times: Sequence[float]) -> PathIncrements:
-    """The Brownian path labelled by (64-bit seed, key) in dimension d >= 1, anchored at ``start``.
+def sample_path(seed: int, key: Sequence[int], dimension: int, start: float, times: Sequence[float]) -> np.ndarray:
+    """Increments of the Brownian path labelled by (64-bit seed, key) in dimension d >= 1, anchored at ``start``.
 
     ``times`` are strictly increasing and all greater than ``start``; the
-    result is a deterministic function of all arguments.
+    result is a deterministic function of all arguments, of shape
+    (len(times), d).  Row j is W(times[j]) - W(times[j-1]) with times[-1]
+    meaning the start time; each coordinate is N(0, times[j] - times[j-1]).
     """
     _check_integer("dimension", dimension, 1)
     start = _check_real("start", start)
@@ -186,5 +169,4 @@ def sample_path(seed: int, key: Sequence[int], dimension: int, start: float, tim
     h0, h1 = state_for_key(seed, key)
     z = _standard_normals(h0, h1, t.size * dimension, np.ones(1))[0].reshape(t.size, dimension)
     dt = np.diff(t, prepend=start)
-    increments = z * np.sqrt(dt)[:, None]
-    return PathIncrements(dimension=dimension, start=start, times=t, increments=increments)
+    return z * np.sqrt(dt)[:, None]

@@ -73,6 +73,8 @@ def _check_rule_invariants() -> tuple[bool, str]:
     worst = 0.0
     for order in range(1, quadrature.MAX_ORDER + 1):
         rule = quadrature.build_rule(order)
+        if rule.order != order:
+            return False, f"order {order}: the rule reads order {rule.order}"
         if not (np.all(rule.nodes > 0.0) and np.all(rule.nodes < 1.0)):
             return False, f"order {order}: node outside (0, 1)"
         if not np.all(np.diff(rule.nodes) > 0.0):
@@ -392,7 +394,9 @@ def run_selfcheck(names: Optional[Iterable[str]] = None) -> list[CheckResult]:
         selected = list(_CHECKS)
     else:
         try:
-            selected = list(names)
+            if isinstance(names, (str, bytes)):
+                raise TypeError  # a sequence of characters, not of names
+            selected = list(dict.fromkeys(names))  # a check named twice runs once, where first named
         except TypeError:
             raise ValueError(f"names must be a sequence of check names, got {names!r}") from None
         unknown = [name for name in selected if name not in _CHECKS]

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 
 import pytest
@@ -274,11 +275,23 @@ def test_selfcheck_only_filter(capsys):
     assert main(["selfcheck", "--only", "gl-rule-invariants"]) == 0
     assert capsys.readouterr().out.count("[PASS]") == 1
     assert main(["selfcheck", "--only", "no-such-check"]) == 2
+    # a check named twice runs once, in the order the names first appear
+    assert main(["selfcheck", "--only", "cost-model", "--only", "gl-rule-invariants", "--only", "cost-model"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[1] for line in out.splitlines()[:-1]] == ["cost-model:", "gl-rule-invariants:"]
+    assert out.endswith("all 2 checks passed\n")
 
 
 def test_selfcheck_empty_selection_is_an_error():
     with pytest.raises(ValueError, match="^unknown checks: \\[\\]; available: "):
         run_selfcheck([])
+
+
+def test_selfcheck_rejects_a_bare_name():
+    # a string is a sequence of characters, which would each be looked up as a check
+    for names in ("cost-model", b"cost-model"):
+        with pytest.raises(ValueError, match=f"^names must be a sequence of check names, got {re.escape(repr(names))}$"):
+            run_selfcheck(names)
 
 
 def test_selfcheck_detects_perturbed_scaling(monkeypatch, capsys):

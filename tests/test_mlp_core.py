@@ -750,7 +750,7 @@ def test_terminal_draw_reproducible_via_sample_path():
     )
     est = mlp_estimate(problem, 1, 1, 1, key=(3,), seed=9, s=0.25, x=np.zeros(2))
     path = sample_path(9, (3, 0, -1), 2, 0.25, [1.0])
-    dw = path.increments[0]
+    dw = path[0]
     assert est.value == dw[0]
     assert np.array_equal(est.gradient, dw[0] * dw / 0.75)
 

@@ -86,11 +86,11 @@ def test_key_scheme_collision_scan():
 def test_sample_path_bitwise_deterministic():
     a = sample_path(123, (4, -2, 1), 3, 0.25, [0.5, 0.75, 1.0])
     b = sample_path(123, (4, -2, 1), 3, 0.25, [0.5, 0.75, 1.0])
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a, b)
     c = sample_path(123, (4, -2, 2), 3, 0.25, [0.5, 0.75, 1.0])
-    assert not np.array_equal(a.increments, c.increments)
+    assert not np.array_equal(a, c)
     d = sample_path(124, (4, -2, 1), 3, 0.25, [0.5, 0.75, 1.0])
-    assert not np.array_equal(a.increments, d.increments)
+    assert not np.array_equal(a, d)
 
 
 def test_sample_path_prefix_consistency():
@@ -100,8 +100,8 @@ def test_sample_path_prefix_consistency():
     full = sample_path(7, (1, 2, 3), 2, 0.1, times)
     for j in range(1, len(times)):
         part = sample_path(7, (1, 2, 3), 2, 0.1, times[:j])
-        assert np.array_equal(part.increments, full.increments[:j])
-        assert np.array_equal(np.cumsum(part.increments, axis=0), np.cumsum(full.increments, axis=0)[:j])
+        assert np.array_equal(part, full[:j])
+        assert np.array_equal(np.cumsum(part, axis=0), np.cumsum(full, axis=0)[:j])
 
 
 def test_sample_path_validation():
@@ -118,7 +118,7 @@ def test_sample_path_validation():
     for dimension in (2.5, True, "2", 2.0, None):
         with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
             sample_path(0, (), dimension, 0.0, [1.0])
-    assert np.array_equal(sample_path(0, (), np.int64(2), 0.0, [1.0]).increments, sample_path(0, (), 2, 0.0, [1.0]).increments)
+    assert np.array_equal(sample_path(0, (), np.int64(2), 0.0, [1.0]), sample_path(0, (), 2, 0.0, [1.0]))
     for start in (True, None, "0", float("inf")):  # True would be start 1.0
         with pytest.raises(ValueError, match="^start must be a finite real number"):
             sample_path(0, (), 1, start, [2.0])
@@ -144,7 +144,7 @@ def test_marginal_law_kolmogorov_smirnov():
     dt = 0.37
     path_times = [0.6, 0.6 + dt]
     draws = np.array(
-        [sample_path(3, (9, r), 1, 0.5, path_times).increments[1, 0] for r in range(400)]
+        [sample_path(3, (9, r), 1, 0.5, path_times)[1, 0] for r in range(400)]
     )
     # cheap loop only builds 400 paths; the heavy sample reuses one batch
     h0, h1 = state_for_key(3, (1,))

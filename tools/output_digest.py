@@ -63,7 +63,7 @@ def output_digest() -> str:
         for key in KEYS:
             for words in state_for_key(seed, key):
                 digest.update(words.tobytes())
-            _feed(digest, sample_path(seed, key, 3, 0.25, [0.5, 0.75, 1.5]).increments)
+            _feed(digest, sample_path(seed, key, 3, 0.25, [0.5, 0.75, 1.5]))
     for name, dim in PROBLEMS:
         config = cli.ExperimentConfig(problem=name, dim=dim, x="random-in-box", seed=9)
         _feed(digest, cli._resolve_x(config, build_problem(name, dim=dim)))
